@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import optimize as _opt
 from scipy.special import expit
 
 from .bayes_hier_linear import PosteriorSummary
@@ -124,8 +123,14 @@ def discount_data_from_table(data: TabularDataset) -> DiscountData:
     mat = np.full((len(ids), len(dvals)), np.nan)
     si = {v: k for k, v in enumerate(ids)}
     di = {v: k for k, v in enumerate(dvals)}
+    seen = set()
     for sv, dv, yv in zip(subj, delay, y):
-        mat[si[sv], di[float(dv)]] = yv
+        cell = (si[sv], di[float(dv)])
+        if cell in seen:
+            raise ValidationError(
+                f"subject '{sv}' has more than one row at delay {float(dv)!r}")
+        seen.add(cell)
+        mat[cell] = yv
     if np.any(np.isnan(mat)):
         raise ValidationError("every subject needs a y at every delay")
     return DiscountData(y=mat, delays=dvals, subject_ids=ids)
@@ -223,18 +228,24 @@ def gibbs_sigma2(rng: Rng, values: np.ndarray, mu: float,
 
 
 def sltb_subject_logliks(psi: np.ndarray, ln_phi: np.ndarray,
-                          data: DiscountData, s: float, l: float) -> np.ndarray:
-    """Per-subject log-likelihood sums; -inf rows mark unusable parameters."""
+                          data: DiscountData, s: float, l: float,
+                          y: Optional[np.ndarray] = None) -> np.ndarray:
+    """Per-subject log-likelihood sums; -inf rows mark unusable parameters.
+
+    `y` defaults to every subject's responses; pass rows of `data.y` (a
+    subset, or one subject repeated) to score `psi`/`ln_phi` against them.
+    """
+    y = data.y if y is None else y
     if data.n_delays == 0:
-        return np.zeros(data.n_subjects)
-    out = np.full(data.n_subjects, -np.inf)
+        return np.zeros(len(y))
+    out = np.full(len(y), -np.inf)
     usable = np.abs(ln_phi) <= _LNPHI_LIMIT
     mu = discount_mean(psi[:, None], np.asarray(data.delays)[None, :])
     usable &= ((mu > 0.0) & (mu < 1.0)).all(axis=1)
     if not usable.any():
         return out
     rows = sltb_logpdf_arrays(
-        mu[usable], np.exp(ln_phi[usable])[:, None], s, l, data.y[usable])
+        mu[usable], np.exp(ln_phi[usable])[:, None], s, l, y[usable])
     out[usable] = rows.sum(axis=1)
     return out
 
@@ -325,40 +336,117 @@ class NonlinearChainState:
     mu_phi: float
     sigma2_phi: float
     resid_sigma2: float
+    # subjects whose start fit failed and who start from their grid value
+    grid_started: Tuple[str, ...] = ()
 
     def __post_init__(self):
         if min(self.sigma2_psi, self.sigma2_phi, self.resid_sigma2) <= 0:
             raise ValidationError("variances must be positive")
 
 
-def _subject_nll(theta: np.ndarray, y: np.ndarray, delays: np.ndarray,
-                 s: float, l: float) -> float:
-    psi, ln_phi = theta
-    if abs(ln_phi) > _LNPHI_LIMIT:
-        return np.inf
-    mu = discount_mean(psi, delays)
-    if np.any((mu <= 0.0) | (mu >= 1.0)):
-        return np.inf
-    rows = sltb_logpdf_arrays(mu, np.exp(ln_phi), s, l, y)
-    total = float(rows.sum())
-    return -total if np.isfinite(total) else np.inf
+# scipy's non-adaptive Nelder-Mead coefficients and initial-simplex steps,
+# and the start fit's tolerances
+_NM_RHO, _NM_CHI, _NM_PSI, _NM_SIGMA = 1, 2, 0.5, 0.5
+_NM_NONZDELT, _NM_ZDELT = 0.05, 0.00025
+_NM_XATOL, _NM_FATOL = 1e-6, 1e-9
 
 
-def _subject_mle(y: np.ndarray, delays: np.ndarray,
-                 s: float, l: float) -> Tuple[float, float]:
-    """Two-parameter fit for one subject, grid-seeded; the grid value is
-    the fallback when the simplex fails."""
+def _sort_simplices(sim: np.ndarray, fsim: np.ndarray):
+    """Order each simplex best vertex first; the sort is stable, as
+    scipy's argsort is on three values."""
+    order = np.argsort(fsim, axis=1, kind="stable")
+    return (np.take_along_axis(sim, order[:, :, None], axis=1),
+            np.take_along_axis(fsim, order, axis=1))
+
+
+def _nelder_mead_batch(f, x0: np.ndarray, maxiter: int = 400
+                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nelder & Mead (1965) on many independent problems in lockstep.
+
+    Row k of `x0` (problems, dims) starts problem k. `f(points, rows)`
+    returns the objective of each point, where `rows` names the problem
+    each point belongs to. Every step runs scipy's non-adaptive
+    Nelder-Mead step, with its branch tests and stopping rules, on each
+    unfinished problem, so each problem ends exactly where
+    ``scipy.optimize.minimize(method="Nelder-Mead")`` would. Returns
+    (best point, its value, success) per problem; success means the
+    simplex met `xatol` 1e-6 and `fatol` 1e-9 within `maxiter`.
+    """
+    n, dim = x0.shape
+    sim = np.repeat(x0[:, None, :], dim + 1, axis=1)
+    for k in range(dim):
+        col = x0[:, k]
+        sim[:, k + 1, k] = np.where(col != 0, (1 + _NM_NONZDELT) * col,
+                                    _NM_ZDELT)
+    active = np.arange(n)
+    fsim = f(sim.reshape(-1, dim), np.repeat(active, dim + 1)).reshape(n, dim + 1)
+    sim, fsim = _sort_simplices(sim, fsim)
+    success = np.zeros(n, dtype=bool)
+    # scipy counts its initial simplex as iteration 1
+    for _ in range(maxiter - 1):
+        sub, fsub = sim[active], fsim[active]
+        with np.errstate(invalid="ignore"):  # inf - inf between vertices
+            xspan = np.abs(sub[:, 1:] - sub[:, :1]).max(axis=(1, 2))
+            fspan = np.abs(fsub[:, :1] - fsub[:, 1:]).max(axis=1)
+        done = (xspan <= _NM_XATOL) & (fspan <= _NM_FATOL)
+        success[active[done]] = True
+        active, sub, fsub = active[~done], sub[~done], fsub[~done]
+        if active.size == 0:
+            break
+        xbar = np.add.reduce(sub[:, :-1], 1) / dim
+        worst = sub[:, -1]
+        xr = (1 + _NM_RHO) * xbar - _NM_RHO * worst
+        fxr = f(xr, active)
+        expand = fxr < fsub[:, 0]
+        keep_r = ~expand & (fxr < fsub[:, -2])
+        outside = ~expand & ~keep_r & (fxr < fsub[:, -1])
+        inside = ~(expand | keep_r | outside)
+        # expansion, outside or inside contraction: one more point each
+        trial = np.where(
+            expand[:, None],
+            (1 + _NM_RHO * _NM_CHI) * xbar - _NM_RHO * _NM_CHI * worst,
+            np.where(outside[:, None],
+                     (1 + _NM_PSI * _NM_RHO) * xbar - _NM_PSI * _NM_RHO * worst,
+                     (1 - _NM_PSI) * xbar + _NM_PSI * worst))
+        ftrial = np.full(active.size, np.inf)
+        ftrial[~keep_r] = f(trial[~keep_r], active[~keep_r])
+        take_trial = ((expand & (ftrial < fxr)) | (outside & (ftrial <= fxr))
+                      | (inside & (ftrial < fsub[:, -1])))
+        take_r = keep_r | (expand & ~take_trial)
+        shrink = (outside | inside) & ~take_trial
+        sub[take_trial, -1] = trial[take_trial]
+        fsub[take_trial, -1] = ftrial[take_trial]
+        sub[take_r, -1], fsub[take_r, -1] = xr[take_r], fxr[take_r]
+        if shrink.any():
+            best = sub[shrink, :1]
+            moved = best + _NM_SIGMA * (sub[shrink, 1:] - best)
+            sub[shrink, 1:] = moved
+            fsub[shrink, 1:] = f(moved.reshape(-1, dim),
+                                 np.repeat(active[shrink], dim)).reshape(-1, dim)
+        sim[active], fsim[active] = _sort_simplices(sub, fsub)
+    return sim[:, 0], fsim[:, 0], success
+
+
+def _subject_mles(data: DiscountData, s: float, l: float
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two-parameter fit per subject, grid-seeded; a subject whose
+    simplex fails starts from its grid value. Returns (psi, ln_phi,
+    fitted), where `fitted` is False for the subjects that fell back."""
+    def nll(points, rows=None):
+        ll = sltb_subject_logliks(points[:, 0], points[:, 1], data, s, l,
+                                  None if rows is None else data.y[rows])
+        return np.where(np.isfinite(ll), -ll, np.inf)
+
+    n = data.n_subjects
     ln_phi0 = np.log(10.0)
-    nlls = [_subject_nll(np.array([p, ln_phi0]), y, delays, s, l)
-            for p in _PSI_GRID]
-    best = _PSI_GRID[int(np.argmin(nlls))]
-    res = _opt.minimize(
-        _subject_nll, np.array([best, ln_phi0]), args=(y, delays, s, l),
-        method="Nelder-Mead",
-        options={"maxiter": 400, "xatol": 1e-6, "fatol": 1e-9})
-    if res.success and np.all(np.isfinite(res.x)) and np.isfinite(res.fun):
-        return float(res.x[0]), float(res.x[1])
-    return float(best), ln_phi0
+    nlls = np.array([nll(np.column_stack([np.full(n, p), np.full(n, ln_phi0)]))
+                     for p in _PSI_GRID])
+    best = _PSI_GRID[np.argmin(nlls, axis=0)]
+    x, fun, success = _nelder_mead_batch(
+        nll, np.column_stack([best, np.full(n, ln_phi0)]))
+    fitted = success & np.isfinite(x).all(axis=1) & np.isfinite(fun)
+    return (np.where(fitted, x[:, 0], best),
+            np.where(fitted, x[:, 1], ln_phi0), fitted)
 
 
 def initialize_chain(data: DiscountData, rng: Optional[Rng] = None,
@@ -368,10 +456,7 @@ def initialize_chain(data: DiscountData, rng: Optional[Rng] = None,
     if data.n_subjects < 1 or data.n_delays < 1:
         raise ValidationError("initialization needs at least one observation")
     rng = rng if rng is not None else Rng(0)
-    delays = np.asarray(data.delays)
-    fits = np.array([_subject_mle(data.y[i], delays, s, l)
-                     for i in range(data.n_subjects)])
-    psi_hat, ln_phi_hat = fits[:, 0], fits[:, 1]
+    psi_hat, ln_phi_hat, fitted = _subject_mles(data, s, l)
     sd_psi = max(float(np.std(psi_hat)), 1e-8)
     sd_phi = max(float(np.std(ln_phi_hat)), 1e-8)
     psi0 = np.asarray(rng.normal(float(np.mean(psi_hat)), sd_psi,
@@ -382,7 +467,9 @@ def initialize_chain(data: DiscountData, rng: Optional[Rng] = None,
         psi=psi0, ln_phi=ln_phi0,
         mu_psi=float(np.mean(psi_hat)), sigma2_psi=100.0,
         mu_phi=float(np.mean(ln_phi_hat)), sigma2_phi=100.0,
-        resid_sigma2=100.0)
+        resid_sigma2=100.0,
+        grid_started=tuple(sid for sid, ok in zip(data.subject_ids, fitted)
+                           if not ok))
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +483,15 @@ class NonlinearResult:
     draws: np.ndarray = field(repr=False)
 
 
-def _summarize(cols, draws, rates, warn_low=0.05, warn_high=0.95):
+def _summarize(cols, draws, rates, grid_started, warn_low=0.05, warn_high=0.95):
     q = np.quantile(draws, [0.25, 0.5, 0.75, 0.025, 0.975], axis=0)
     warns = tuple(
         f"block {name}: acceptance rate {r:.3f} outside [{warn_low}, {warn_high}]"
         for name, r in rates.items() if not warn_low <= r <= warn_high)
+    if grid_started:
+        warns = (f"start fit fell back to the psi grid for "
+                 f"{len(grid_started)} subject(s): "
+                 f"{', '.join(grid_started)}",) + warns
     return PosteriorSummary(
         names=cols, mean=draws.mean(axis=0), q1=q[0], median=q[1], q3=q[2],
         q025=q[3], q975=q[4], acceptance_rates=rates, n_draws=draws.shape[0],
@@ -454,8 +545,8 @@ def sltb_hier_sample(data: DiscountData, priors: HyperPriors = HYPER,
                     [[mu_psi, sigma2_psi, mu_phi, sigma2_phi], psi, ln_phi]))
     draws = np.asarray(kept)
     rates = {"psi": acc_psi / prop, "ln_phi": acc_phi / prop}
-    return NonlinearResult(summary=_summarize(cols, draws, rates),
-                           columns=cols, draws=draws)
+    summary = _summarize(cols, draws, rates, state.grid_started)
+    return NonlinearResult(summary=summary, columns=cols, draws=draws)
 
 
 def normal_hier_sample(data: DiscountData, priors: HyperPriors = HYPER,
@@ -498,5 +589,5 @@ def normal_hier_sample(data: DiscountData, priors: HyperPriors = HYPER,
                 kept.append(np.concatenate([[mu_psi, sigma2_psi, sigma2], psi]))
     draws = np.asarray(kept)
     rates = {"psi": acc / prop}
-    return NonlinearResult(summary=_summarize(cols, draws, rates),
-                           columns=cols, draws=draws)
+    summary = _summarize(cols, draws, rates, state.grid_started)
+    return NonlinearResult(summary=summary, columns=cols, draws=draws)

@@ -70,7 +70,8 @@ class FitResult:
     the rows of `vcov`. `fit_seconds` times the two optimizer calls only,
     not the warm start, the convergence check or the Hessian.
     `loglik_trace` holds the log-likelihood at the warm start, then one
-    entry per optimizer iteration.
+    entry per optimizer iteration; `iterations` counts those iterations,
+    so it is ``len(loglik_trace) - 1``.
     """
 
     family: str
@@ -318,7 +319,7 @@ def fit_mle(spec: RegressionSpec, data: TabularDataset, family: str = "sltb",
     converged = bool(nm.success or qn.success or grad_ok)
     if not converged:
         raise ConvergenceError(
-            f"optimizer failed to converge after {nm.nit + qn.nit} iterations "
+            f"optimizer failed to converge after {len(trace) - 1} iterations "
             f"(scaled gradient max {np.max(np.abs(grad)) / scale:.3e})",
             best_point=theta_hat, best_value=best)
 
@@ -355,7 +356,7 @@ def fit_mle(spec: RegressionSpec, data: TabularDataset, family: str = "sltb",
         z=z,
         p=np.clip(pvals, 0.0, 1.0),
         converged=converged,
-        iterations=int(nm.nit + qn.nit),
+        iterations=len(trace) - 1,
         s=float(s),
         l=float(l),
         fit_seconds=float(elapsed),

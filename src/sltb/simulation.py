@@ -9,6 +9,7 @@ recording in-sample MSE and the wall-clock cost of the optimizer call.
 from __future__ import annotations
 
 import concurrent.futures
+import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -152,6 +153,10 @@ def run_study(cfg: SimConfig, methods: Sequence[str] = ("sltb",),
             raise ValidationError(f"unknown method '{m}'")
     if threads < 1:
         raise ValidationError("threads must be >= 1")
+    cpus = os.cpu_count() or 1
+    if threads > cpus:
+        raise ValidationError(
+            f"threads must be at most the CPU count ({cpus}), got {threads}")
 
     if threads == 1:
         records = [_run_one_rep(cfg, r, methods) for r in range(cfg.reps)]

@@ -3,9 +3,13 @@ initialization, and both samplers."""
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 import ks_checks
 from sltb.bayes_hier_nonlinear import (
+    _PSI_GRID,
+    _nelder_mead_batch,
+    _subject_mles,
     DEFAULT_DELAYS,
     HYPER,
     DiscountData,
@@ -26,7 +30,14 @@ from sltb.bayes_hier_nonlinear import (
     sltb_hier_sample,
     sltb_subject_logliks,
 )
-from sltb.distributions import DEFAULT_L, DEFAULT_S, SltbParams, sltb_logpdf
+from sltb.data import TabularDataset
+from sltb.distributions import (
+    DEFAULT_L,
+    DEFAULT_S,
+    SltbParams,
+    sltb_logpdf,
+    sltb_logpdf_arrays,
+)
 from sltb.errors import NumericalError, ValidationError
 from sltb.kernel import Rng
 
@@ -116,6 +127,17 @@ def test_table_requires_complete_grid():
         discount_data_from_table(TabularDataset(clipped))
     with pytest.raises(ValidationError):
         discount_data_from_table(TabularDataset({"subject": ("a",), "y": (0.5,)}))
+
+
+def test_table_rejects_duplicate_subject_delay():
+    table = small_data(nsubj=3).data.to_table()
+    dup = TabularDataset({
+        "subject": table.factor("subject") + ("s002",),
+        "delay": np.append(table.numeric("delay"), 30.0),
+        "y": np.append(table.numeric("y"), 0.5)})
+    with pytest.raises(ValidationError,
+                       match=r"subject 's002' has more than one row at delay 30\.0"):
+        discount_data_from_table(dup)
 
 
 # --- generation -----------------------------------------------------------
@@ -294,6 +316,94 @@ def test_initialize_deterministic():
         initialize_chain(
             DiscountData(y=np.zeros((2, 0)), delays=(), subject_ids=("a", "b")),
             Rng(0))
+
+
+def _scipy_subject_mles(data):
+    """Oracle: one scipy Nelder-Mead per subject from the same grid seed."""
+    delays = np.asarray(data.delays)
+    ln_phi0 = np.log(10.0)
+
+    def nll(theta, y):
+        psi, ln_phi = theta
+        if abs(ln_phi) > 50.0:
+            return np.inf
+        mu = discount_mean(psi, delays)
+        if np.any((mu <= 0.0) | (mu >= 1.0)):
+            return np.inf
+        total = float(sltb_logpdf_arrays(mu, np.exp(ln_phi), DEFAULT_S,
+                                         DEFAULT_L, y).sum())
+        return -total if np.isfinite(total) else np.inf
+
+    fits, grid = [], []
+    for y in data.y:
+        best = _PSI_GRID[int(np.argmin(
+            [nll(np.array([p, ln_phi0]), y) for p in _PSI_GRID]))]
+        res = optimize.minimize(
+            nll, np.array([best, ln_phi0]), args=(y,), method="Nelder-Mead",
+            options={"maxiter": 400, "xatol": 1e-6, "fatol": 1e-9})
+        ok = res.success and np.isfinite(res.x).all() and np.isfinite(res.fun)
+        fits.append(res.x if ok else (best, ln_phi0))
+        grid.append(best)
+    return np.array(fits), np.array(grid)
+
+
+@pytest.mark.parametrize("maxiter", [2, 5, 30, 400])
+@pytest.mark.parametrize("terraced", [False, True])
+def test_batched_simplex_stops_where_scipy_does(maxiter, terraced):
+    # shifted Rosenbrock valleys from integer starts (zeros take the
+    # zero-coordinate step); the terraced variant floors the value so that
+    # ties between vertices exercise the sort and every branch test
+    gen = np.random.default_rng(1)
+    shift = np.round(gen.normal(0.0, 2.0, (12, 2)), 1)
+    x0 = np.round(gen.normal(0.0, 2.0, (12, 2)))
+    assert (x0 == 0.0).any()
+
+    def value(points, rows):
+        z = points - shift[rows]
+        v = 100.0 * (z[:, 1] - z[:, 0] ** 2) ** 2 + (1.0 - z[:, 0]) ** 2
+        return np.floor(v * 4.0) if terraced else v
+
+    x, fun, success = _nelder_mead_batch(value, x0, maxiter=maxiter)
+    for k in range(len(x0)):
+        res = optimize.minimize(
+            lambda p: float(value(p[None, :], np.array([k]))[0]), x0[k],
+            method="Nelder-Mead",
+            options={"maxiter": maxiter, "xatol": 1e-6, "fatol": 1e-9})
+        assert np.array_equal(x[k], res.x)
+        assert fun[k] == res.fun and success[k] == res.success
+
+
+def _edge_subjects():
+    y = gen_discount_data(nsubj=6, seed=4, rounding_decimals=2).data.y.copy()
+    y[1] = 0.99  # flat curve
+    y[2] = y[4] = 0.0  # all-zero subjects: no finite optimum
+    return DiscountData(y=y, delays=DEFAULT_DELAYS, subject_ids=tuple("abcdef"))
+
+
+@pytest.mark.parametrize("data, fell_back", [
+    (gen_discount_data(nsubj=100).data, []),
+    (gen_discount_data(nsubj=100, seed=3, rounding_decimals=2).data, []),
+    (_edge_subjects(), [2, 4]),
+], ids=["default", "two-decimals", "flat-and-zero"])
+def test_batched_start_is_scipys_per_subject_loop(data, fell_back):
+    psi, ln_phi, fitted = _subject_mles(data, DEFAULT_S, DEFAULT_L)
+    want, grid = _scipy_subject_mles(data)
+    assert np.array_equal(psi, want[:, 0])
+    assert np.array_equal(ln_phi, want[:, 1])
+    assert np.flatnonzero(~fitted).tolist() == fell_back
+    assert np.array_equal(psi[fell_back], grid[fell_back])
+    assert np.all(ln_phi[fell_back] == np.log(10.0))
+
+
+def test_grid_started_subjects_are_named_once_per_sampler():
+    data = _edge_subjects()
+    assert initialize_chain(data).grid_started == ("c", "e")
+    for sampler in (sltb_hier_sample, normal_hier_sample):
+        warns = sampler(data, iters=120, burnin=20, seed=1).summary.warnings
+        assert [w for w in warns if "psi grid" in w] == [
+            "start fit fell back to the psi grid for 2 subject(s): c, e"]
+        clean = sampler(small_data(nsubj=6).data, iters=120, burnin=20, seed=1)
+        assert not any("psi grid" in w for w in clean.summary.warnings)
 
 
 # --- samplers ----------------------------------------------------------------

@@ -337,6 +337,21 @@ def test_hier_nonlinear_from_file(tmp_path):
     assert manifest["config"]["source"] == "file"
 
 
+def test_hier_nonlinear_duplicate_rows_exit_2(tmp_path, capsys):
+    table = gen_discount_data(nsubj=3, seed=13).data.to_table()
+    data_path = tmp_path / "points.csv"
+    write_csv(str(data_path), TabularDataset({
+        "subject": table.factor("subject") + ("s001",),
+        "delay": np.append(table.numeric("delay"), 7.0),
+        "y": np.append(table.numeric("y"), 0.5)}))
+    capsys.readouterr()
+    assert main(["hier-nonlinear", "--data", str(data_path),
+                 "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "subject 's001' has more than one row at delay 7.0" in err
+    assert "Traceback" not in err
+
+
 def test_hier_nonlinear_config_conflicts(tmp_path, capsys):
     samp = gen_discount_data(nsubj=4, seed=1)
     data_path = tmp_path / "points.csv"

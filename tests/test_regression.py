@@ -271,6 +271,8 @@ def test_fit_loglik_is_the_public_likelihood_with_exact_ones():
     assert np.any(y == 1.0)
     fit = fit_mle(SPEC2, data, family="sltb")
     assert fit.loglik == loglik_sltb(fit.theta(), X, y)
+    # the trace holds the warm start plus one value per iteration
+    assert fit.iterations == len(fit.loglik_trace) - 1
 
 
 def test_fit_reference_swap_flips_sign_and_z():

@@ -1,6 +1,8 @@
 """Monte Carlo study module: generation, filtering, aggregation, threading."""
 
+import concurrent.futures
 import json
+import os
 
 import numpy as np
 import pytest
@@ -141,6 +143,16 @@ def test_study_validation():
         run_study(small_cfg(), methods=("zoib",))
     with pytest.raises(ValidationError):
         run_study(small_cfg(), threads=0)
+
+
+def test_threads_capped_at_cpu_count(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with pytest.raises(ValidationError, match=r"at most the CPU count \(2\), got 3"):
+        run_study(small_cfg(), threads=3)
 
 
 def test_mean_mse_smoke_bracket():
