@@ -11,6 +11,14 @@ Every scalar parameter moves by a random-walk proposal accepted with the
 standard ratio; sigma walks on the log scale with the Jacobian term. The
 group intercepts are conditionally independent given the rest, so the
 u sweep proposes all groups at once and accepts per group.
+
+A sweep re-evaluates the density only where a proposal moves it: a
+coefficient's proposal on the rows where its design column is non-zero
+(every row for the intercept or a continuous slope), eta's and the
+group intercepts' proposals on every row; accepting group intercepts
+takes the proposal's rows where the group moved, with no recompute. The
+response logs are taken once per chain. Every row equals a full
+recompute bit for bit, so the draws do too.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ import numpy as np
 from scipy.special import expit, logit
 
 from .data import TabularDataset
-from .distributions import DEFAULT_L, DEFAULT_S, sltb_logpdf_arrays
+from .distributions import DEFAULT_L, DEFAULT_S, log_x_pair, sltb_logpdf_arrays
 from .errors import NumericalError, ValidationError
 from .kernel import Rng
 from .regression import RegressionSpec, build_design, response_vector
@@ -171,8 +179,12 @@ class HierChainResult:
 
 
 def _safe_rows(lp: np.ndarray, eta: float, y: np.ndarray,
+               logs: Tuple[np.ndarray, np.ndarray],
                s: float, l: float) -> np.ndarray:
-    """Row log-likelihoods; -inf rows flag proposals to reject, never raise."""
+    """Row log-likelihoods; -inf rows flag proposals to reject, never raise.
+
+    `logs` is ``log_x_pair(y, s, l)[2:]``, taken once per response.
+    """
     if y.size == 0:
         return np.zeros(0)
     out = np.full(y.shape, -np.inf)
@@ -181,9 +193,10 @@ def _safe_rows(lp: np.ndarray, eta: float, y: np.ndarray,
     mu = expit(lp)
     ok = (mu > 0.0) & (mu < 1.0)
     if ok.all():
-        return sltb_logpdf_arrays(mu, np.exp(eta), s, l, y)
+        return sltb_logpdf_arrays(mu, np.exp(eta), s, l, y, logs=logs)
     if ok.any():
-        out[ok] = sltb_logpdf_arrays(mu[ok], np.exp(eta), s, l, y[ok])
+        out[ok] = sltb_logpdf_arrays(mu[ok], np.exp(eta), s, l, y[ok],
+                                     logs=(logs[0][ok], logs[1][ok]))
     return out
 
 
@@ -197,7 +210,8 @@ def hier_linear_loglik(state: ChainState, model: HierLinearModel,
     if model.n_rows == 0:
         return 0.0
     lp = model.X @ state.beta + state.u[model.group_index]
-    rows = _safe_rows(lp, state.eta, y, model.s, model.l)
+    rows = _safe_rows(lp, state.eta, y, log_x_pair(y, model.s, model.l)[2:],
+                      model.s, model.l)
     if not np.all(np.isfinite(rows)):
         bad = int(np.flatnonzero(~np.isfinite(rows))[0])
         raise NumericalError(f"non-finite log-likelihood at row {bad}")
@@ -205,7 +219,12 @@ def hier_linear_loglik(state: ChainState, model: HierLinearModel,
 
 
 class _Work:
-    """Mutable sweep scratch; ChainState is the immutable public face."""
+    """Mutable sweep scratch; ChainState is the immutable public face.
+
+    `row_sets[j]` holds the rows where coefficient j's design column is
+    non-zero (a full slice when that is every row, so nothing is gathered)
+    with their responses and response logs.
+    """
 
     def __init__(self, state: ChainState, model: HierLinearModel,
                  y: np.ndarray, n_blocks: int):
@@ -213,9 +232,18 @@ class _Work:
         self.u = state.u.copy()
         self.eta = float(state.eta)
         self.sigma2 = float(state.sigma2)
+        self.logs = log_x_pair(y, model.s, model.l)[2:]
+        self.row_sets = []
+        for j in range(model.n_coefs):
+            idx = np.flatnonzero(model.X[:, j] != 0.0)
+            if idx.size == y.size:
+                idx = slice(None)
+            self.row_sets.append(
+                (idx, y[idx], (self.logs[0][idx], self.logs[1][idx])))
         self.lp = model.X @ self.beta + (
             self.u[model.group_index] if model.n_rows else np.zeros(0))
-        self.rows = _safe_rows(self.lp, self.eta, y, model.s, model.l)
+        self.rows = _safe_rows(self.lp, self.eta, y, self.logs,
+                               model.s, model.l)
         self.ll = float(self.rows.sum()) if y.size else 0.0
         self.acc = np.zeros(n_blocks, dtype=int)
         self.prop = np.zeros(n_blocks, dtype=int)
@@ -240,7 +268,10 @@ def _sweep(w: _Work, model: HierLinearModel, y: np.ndarray,
             bj = w.beta[j]
             bj_new = bj + z[j]
             lp_new = w.lp + model.X[:, j] * z[j]
-            rows_new = _safe_rows(lp_new, w.eta, y, s, l)
+            # the other rows' lp is lp + 0*z == lp, so their rows stand
+            idx, y_j, logs_j = w.row_sets[j]
+            rows_new = w.rows.copy()
+            rows_new[idx] = _safe_rows(lp_new[idx], w.eta, y_j, logs_j, s, l)
             ll_new = float(rows_new.sum()) if y.size else 0.0
             delta = (ll_new - w.ll) + (bj * bj - bj_new * bj_new) / (2.0 * vp)
             if lu[j] < delta:
@@ -252,7 +283,7 @@ def _sweep(w: _Work, model: HierLinearModel, y: np.ndarray,
 
     w.prop[b_eta] += 1
     eta_new = w.eta + float(rng.normal(0.0, 1.0)) * tuning.eta_scale
-    rows_new = _safe_rows(w.lp, eta_new, y, s, l)
+    rows_new = _safe_rows(w.lp, eta_new, y, w.logs, s, l)
     ll_new = float(rows_new.sum()) if y.size else 0.0
     delta = (ll_new - w.ll) + (w.eta ** 2 - eta_new ** 2) / (2.0 * vp)
     if np.log(float(rng.uniform())) < delta:
@@ -268,7 +299,7 @@ def _sweep(w: _Work, model: HierLinearModel, y: np.ndarray,
         prior_delta = (w.u ** 2 - u_new ** 2) / (2.0 * w.sigma2)
         if y.size:
             lp_new = w.lp + z[gi]
-            rows_new = _safe_rows(lp_new, w.eta, y, s, l)
+            rows_new = _safe_rows(lp_new, w.eta, y, w.logs, s, l)
             cur = np.bincount(gi, weights=w.rows, minlength=m)
             new = np.bincount(gi, weights=rows_new, minlength=m)
             with np.errstate(invalid="ignore"):
@@ -281,8 +312,9 @@ def _sweep(w: _Work, model: HierLinearModel, y: np.ndarray,
         if accept.any():
             w.u[accept] = u_new[accept]
             if y.size:
-                w.lp = w.lp + np.where(accept[gi], z[gi], 0.0)
-                w.rows = _safe_rows(w.lp, w.eta, y, s, l)
+                moved = accept[gi]
+                w.lp = np.where(moved, lp_new, w.lp)
+                w.rows = np.where(moved, rows_new, w.rows)
                 w.ll = float(w.rows.sum())
 
     w.prop[b_sig] += 1

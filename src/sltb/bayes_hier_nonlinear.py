@@ -18,7 +18,7 @@ from scipy.special import expit
 
 from .bayes_hier_linear import PosteriorSummary
 from .data import TabularDataset
-from .distributions import DEFAULT_L, DEFAULT_S, sltb_logpdf_arrays
+from .distributions import DEFAULT_L, DEFAULT_S, log_x_pair, sltb_logpdf_arrays
 from .errors import NumericalError, ValidationError
 from .kernel import Rng
 
@@ -229,11 +229,15 @@ def gibbs_sigma2(rng: Rng, values: np.ndarray, mu: float,
 
 def sltb_subject_logliks(psi: np.ndarray, ln_phi: np.ndarray,
                           data: DiscountData, s: float, l: float,
-                          y: Optional[np.ndarray] = None) -> np.ndarray:
+                          y: Optional[np.ndarray] = None,
+                          logs: Optional[Tuple[np.ndarray, np.ndarray]] = None
+                          ) -> np.ndarray:
     """Per-subject log-likelihood sums; -inf rows mark unusable parameters.
 
     `y` defaults to every subject's responses; pass rows of `data.y` (a
     subset, or one subject repeated) to score `psi`/`ln_phi` against them.
+    `logs` is ``log_x_pair(y, s, l)[2:]`` for those rows; a chain takes it
+    once instead of on every call.
     """
     y = data.y if y is None else y
     if data.n_delays == 0:
@@ -245,7 +249,8 @@ def sltb_subject_logliks(psi: np.ndarray, ln_phi: np.ndarray,
     if not usable.any():
         return out
     rows = sltb_logpdf_arrays(
-        mu[usable], np.exp(ln_phi[usable])[:, None], s, l, y[usable])
+        mu[usable], np.exp(ln_phi[usable])[:, None], s, l, y[usable],
+        logs=None if logs is None else (logs[0][usable], logs[1][usable]))
     out[usable] = rows.sum(axis=1)
     return out
 
@@ -263,18 +268,20 @@ def normal_subject_logliks(psi: np.ndarray, sigma2: float,
 def mh_update_psi_sltb(rng: Rng, psi: np.ndarray, ln_phi: np.ndarray,
                        data: DiscountData, mu_psi: float, sigma2_psi: float,
                        s: float = DEFAULT_S, l: float = DEFAULT_L,
-                       cur_lik: Optional[np.ndarray] = None
+                       cur_lik: Optional[np.ndarray] = None,
+                       logs: Optional[Tuple[np.ndarray, np.ndarray]] = None
                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One random-walk sweep over every subject's psi.
 
     Returns (new psi, new per-subject likelihoods, accept mask). The
-    proposal variance is half the group variance.
+    proposal variance is half the group variance. `logs` is passed on to
+    `sltb_subject_logliks`.
     """
     if cur_lik is None:
-        cur_lik = sltb_subject_logliks(psi, ln_phi, data, s, l)
+        cur_lik = sltb_subject_logliks(psi, ln_phi, data, s, l, logs=logs)
     step = np.asarray(rng.normal(0.0, 1.0, len(psi))) * np.sqrt(0.5 * sigma2_psi)
     prop = psi + step
-    new_lik = sltb_subject_logliks(prop, ln_phi, data, s, l)
+    new_lik = sltb_subject_logliks(prop, ln_phi, data, s, l, logs=logs)
     log_r = (new_lik - cur_lik
              + ((psi - mu_psi) ** 2 - (prop - mu_psi) ** 2) / (2.0 * sigma2_psi))
     with np.errstate(invalid="ignore"):
@@ -287,14 +294,15 @@ def mh_update_psi_sltb(rng: Rng, psi: np.ndarray, ln_phi: np.ndarray,
 def mh_update_lnphi_sltb(rng: Rng, psi: np.ndarray, ln_phi: np.ndarray,
                          data: DiscountData, mu_phi: float, sigma2_phi: float,
                          s: float = DEFAULT_S, l: float = DEFAULT_L,
-                         cur_lik: Optional[np.ndarray] = None
+                         cur_lik: Optional[np.ndarray] = None,
+                         logs: Optional[Tuple[np.ndarray, np.ndarray]] = None
                          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mirror sweep for the per-subject log-precisions."""
     if cur_lik is None:
-        cur_lik = sltb_subject_logliks(psi, ln_phi, data, s, l)
+        cur_lik = sltb_subject_logliks(psi, ln_phi, data, s, l, logs=logs)
     step = np.asarray(rng.normal(0.0, 1.0, len(ln_phi))) * np.sqrt(0.5 * sigma2_phi)
     prop = ln_phi + step
-    new_lik = sltb_subject_logliks(psi, prop, data, s, l)
+    new_lik = sltb_subject_logliks(psi, prop, data, s, l, logs=logs)
     log_r = (new_lik - cur_lik
              + ((ln_phi - mu_phi) ** 2 - (prop - mu_phi) ** 2)
              / (2.0 * sigma2_phi))
@@ -515,7 +523,8 @@ def sltb_hier_sample(data: DiscountData, priors: HyperPriors = HYPER,
     mu_phi, sigma2_phi = state.mu_phi, state.sigma2_phi
     n = data.n_subjects
 
-    lik = sltb_subject_logliks(psi, ln_phi, data, s, l)
+    logs = log_x_pair(data.y, s, l)[2:]
+    lik = sltb_subject_logliks(psi, ln_phi, data, s, l, logs=logs)
     if not np.all(np.isfinite(lik)):
         bad = data.subject_ids[int(np.argmin(np.isfinite(lik)))]
         raise NumericalError(
@@ -530,12 +539,14 @@ def sltb_hier_sample(data: DiscountData, priors: HyperPriors = HYPER,
                           priors.lam2_psi0)
         sigma2_psi = gibbs_sigma2(rng, psi, mu_psi, priors.a1, priors.b1)
         psi, lik, a1 = mh_update_psi_sltb(
-            rng, psi, ln_phi, data, mu_psi, sigma2_psi, s, l, cur_lik=lik)
+            rng, psi, ln_phi, data, mu_psi, sigma2_psi, s, l, cur_lik=lik,
+            logs=logs)
         mu_phi = gibbs_mu(rng, ln_phi, sigma2_phi, priors.mu_phi0,
                           priors.lam2_phi0)
         sigma2_phi = gibbs_sigma2(rng, ln_phi, mu_phi, priors.a2, priors.b2)
         ln_phi, lik, a2 = mh_update_lnphi_sltb(
-            rng, psi, ln_phi, data, mu_phi, sigma2_phi, s, l, cur_lik=lik)
+            rng, psi, ln_phi, data, mu_phi, sigma2_phi, s, l, cur_lik=lik,
+            logs=logs)
         if it > burnin:
             acc_psi += int(a1.sum())
             acc_phi += int(a2.sum())

@@ -146,26 +146,45 @@ def _load_json_object(path: str, what: str) -> dict:
 
 
 def _check_keys(obj: dict, allowed: tuple, what: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} must be a JSON object")
     unknown = sorted(set(obj) - set(allowed))
     if unknown:
         raise ValidationError(
             f"unknown {what} keys {unknown}; allowed: {sorted(allowed)}")
 
 
-def load_spec(path: str) -> RegressionSpec:
-    """Model spec file: {response, terms[], factors{column: reference}}."""
-    obj = _load_json_object(path, "spec")
+def _number(obj: dict, key: str, kind, default, what: str = "config"):
+    """`obj[key]` (or `default`) as `kind`, int or float; a value that does
+    not convert is a ValidationError naming the key."""
+    value = obj.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        noun = "an integer" if kind is int else "a number"
+        raise ValidationError(
+            f"{what} '{key}' must be {noun}, got {value!r}") from None
+
+
+def _spec_from_obj(obj, where: str) -> RegressionSpec:
+    """Spec object {response, terms[], factors{column: reference}}; `where`
+    names its source in error messages."""
     _check_keys(obj, ("response", "terms", "factors"), "spec")
     if "response" not in obj or "terms" not in obj:
-        raise ValidationError(f"{path}: spec needs 'response' and 'terms'")
+        raise ValidationError(f"{where}: spec needs 'response' and 'terms'")
     terms = obj["terms"]
     if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
-        raise ValidationError(f"{path}: 'terms' must be a list of strings")
+        raise ValidationError(f"{where}: 'terms' must be a list of strings")
     factors = obj.get("factors", {})
     if not isinstance(factors, dict):
-        raise ValidationError(f"{path}: 'factors' must be an object")
+        raise ValidationError(f"{where}: 'factors' must be an object")
     return RegressionSpec(str(obj["response"]), tuple(terms),
                           {str(k): str(v) for k, v in factors.items()})
+
+
+def load_spec(path: str) -> RegressionSpec:
+    """Model spec file: {response, terms[], factors{column: reference}}."""
+    return _spec_from_obj(_load_json_object(path, "spec"), path)
 
 
 def _spec_snapshot(spec: RegressionSpec) -> dict:
@@ -246,9 +265,9 @@ def cmd_simulate(args, started: str) -> None:
             raise ValidationError(f"config needs '{key}'")
     seed = resolve_seed(args.seed, obj.get("base_seed"))
     cfg = SimConfig(
-        n=int(obj["n"]), reps=int(obj["reps"]),
+        n=_number(obj, "n", int, None), reps=_number(obj, "reps", int, None),
         beta_true=tuple(obj.get("beta_true", (1.2, -0.88, 0.43, -0.52))),
-        phi_true=float(obj.get("phi_true", 10.0)),
+        phi_true=_number(obj, "phi_true", float, 10.0),
         rounding_decimals=obj.get("rounding_decimals", 2),
         base_seed=seed)
     methods = tuple(obj.get("methods", ("sltb",)))
@@ -278,22 +297,17 @@ def cmd_hier_linear(args, started: str) -> None:
     _check_keys(obj, _HIER_KEYS, "config")
     seed = resolve_seed(args.seed, obj.get("seed"))
     data = read_csv(args.data)
-    if "spec" in obj:
-        raw = obj["spec"]
-        spec = RegressionSpec(str(raw["response"]), tuple(raw["terms"]),
-                              {str(k): str(v)
-                               for k, v in raw.get("factors", {}).items()})
-    else:
-        spec = HIER_SPEC
+    spec = _spec_from_obj(obj["spec"], args.config) if "spec" in obj \
+        else HIER_SPEC
     config = {
-        "iters": int(obj.get("iters", 20000)),
-        "burnin": int(obj.get("burnin", 5000)),
-        "thin": int(obj.get("thin", 5)),
+        "iters": _number(obj, "iters", int, 20000),
+        "burnin": _number(obj, "burnin", int, 5000),
+        "thin": _number(obj, "thin", int, 5),
         "group": str(obj.get("group", "county")),
-        "prior_variance": float(obj.get("prior_variance", 1e3)),
-        "sigma_upper": float(obj.get("sigma_upper", 20.0)),
-        "s": float(obj.get("s", DEFAULT_S)),
-        "l": float(obj.get("l", DEFAULT_L)),
+        "prior_variance": _number(obj, "prior_variance", float, 1e3),
+        "sigma_upper": _number(obj, "sigma_upper", float, 20.0),
+        "s": _number(obj, "s", float, DEFAULT_S),
+        "l": _number(obj, "l", float, DEFAULT_L),
         "spec": _spec_snapshot(spec),
     }
     model, y = build_hier_model(
@@ -334,11 +348,12 @@ def cmd_hier_nonlinear(args, started: str) -> None:
         raise ValidationError("config 'models' must name at least one model")
     prior_obj = obj.get("priors", {})
     _check_keys(prior_obj, _PRIOR_KEYS, "priors")
-    priors = HyperPriors(**{k: float(v) for k, v in prior_obj.items()})
+    priors = HyperPriors(**{k: _number(prior_obj, k, float, None, "priors")
+                            for k in prior_obj})
     config = {
-        "iters": int(obj.get("iters", 20000)),
-        "burnin": int(obj.get("burnin", 5000)),
-        "thin": int(obj.get("thin", 5)),
+        "iters": _number(obj, "iters", int, 20000),
+        "burnin": _number(obj, "burnin", int, 5000),
+        "thin": _number(obj, "thin", int, 5),
         "models": list(models),
         "priors": asdict(priors),
     }
@@ -354,10 +369,11 @@ def cmd_hier_nonlinear(args, started: str) -> None:
     else:
         truth_obj = obj.get("truth", {})
         _check_keys(truth_obj, _TRUTH_KEYS, "truth")
-        truth = DiscountTruth(**{k: float(v) for k, v in truth_obj.items()})
+        truth = DiscountTruth(**{k: _number(truth_obj, k, float, None, "truth")
+                                 for k in truth_obj})
         rounding = obj.get("rounding_decimals")
         samp = gen_discount_data(
-            nsubj=int(obj.get("nsubj", 100)),
+            nsubj=_number(obj, "nsubj", int, 100),
             delays=tuple(float(d) for d in obj.get("delays", DEFAULT_DELAYS)),
             truth=truth, seed=seed, rounding_decimals=rounding)
         data = samp.data
@@ -405,9 +421,18 @@ def cmd_density(args, started: str) -> None:
         l = DEFAULT_L if args.l is None else args.l
     params = SltbParams(args.mu, args.phi, s, l)
     g = np.linspace(0.0, 1.0, args.grid_n)
-    dens = sltb_pdf(params, g)
     interior = (g > 0.0) & (g < 1.0)
-    beta_vals = np.exp(beta_logpdf_arrays(args.mu, args.phi, g[interior]))
+    with np.errstate(all="ignore"):  # non-finite values are refused below
+        dens = sltb_pdf(params, g)
+        beta_vals = np.exp(beta_logpdf_arrays(args.mu, args.phi, g[interior]))
+    for name, grid, vals in (("sltb_pdf", g, dens),
+                             ("beta_pdf", g[interior], beta_vals)):
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            i = int(bad[0])
+            raise NumericalError(
+                f"{name} is {float(vals[i])} at grid point g={float(grid[i])!r}; "
+                "no density.csv written")
     rows = []
     j = 0
     for i in range(args.grid_n):

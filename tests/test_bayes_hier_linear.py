@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 import ks_checks
+from sltb import bayes_hier_linear as bhl
 from sltb.bayes_hier_linear import (
     HIER_SPEC,
     ChainState,
@@ -18,7 +20,13 @@ from sltb.bayes_hier_linear import (
     posterior_predictive_mse,
     run_chain,
 )
-from sltb.distributions import DEFAULT_L, DEFAULT_S, SltbParams, sltb_logpdf
+from sltb.distributions import (
+    DEFAULT_L,
+    DEFAULT_S,
+    SltbParams,
+    sltb_logpdf,
+    sltb_logpdf_arrays,
+)
 from sltb.errors import ValidationError
 from sltb.kernel import Rng
 
@@ -222,6 +230,185 @@ def test_chain_validation():
         run_chain(model, y, iters=100, burnin=10, thin=0)
     with pytest.raises(ValidationError):
         run_chain(model, np.append(y, 0.5), iters=100, burnin=10)
+
+
+# ------------------------------------------- incremental sweep vs oracle
+# The oracle is the full-recompute sweep: every proposal re-evaluates the
+# density on every row, from the response itself, and accepting group
+# intercepts recomputes every row once more. The package's sweep must draw
+# exactly what it draws.
+
+def _oracle_rows(lp, eta, y, s, l):
+    if y.size == 0:
+        return np.zeros(0)
+    out = np.full(y.shape, -np.inf)
+    if abs(eta) > bhl._ETA_LIMIT:
+        return out
+    mu = expit(lp)
+    ok = (mu > 0.0) & (mu < 1.0)
+    if ok.all():
+        return sltb_logpdf_arrays(mu, np.exp(eta), s, l, y)
+    if ok.any():
+        out[ok] = sltb_logpdf_arrays(mu[ok], np.exp(eta), s, l, y[ok])
+    return out
+
+
+class _OracleWork:
+    def __init__(self, state, model, y, n_blocks):
+        self.beta = state.beta.copy()
+        self.u = state.u.copy()
+        self.eta = float(state.eta)
+        self.sigma2 = float(state.sigma2)
+        self.lp = model.X @ self.beta + (
+            self.u[model.group_index] if model.n_rows else np.zeros(0))
+        self.rows = _oracle_rows(self.lp, self.eta, y, model.s, model.l)
+        self.ll = float(self.rows.sum()) if y.size else 0.0
+        self.acc = np.zeros(n_blocks, dtype=int)
+        self.prop = np.zeros(n_blocks, dtype=int)
+
+
+def _oracle_sweep(w, model, y, rng, tuning):
+    k, m = model.n_coefs, model.n_groups
+    vp = model.prior_variance
+    s, l = model.s, model.l
+    gi = model.group_index
+    b_eta, b_u0, b_sig = k, k + 1, k + 1 + m
+    if k:
+        z = np.asarray(rng.normal(0.0, 1.0, k)) * tuning.beta_scales
+        lu = np.log(np.asarray(rng.uniform(size=k)))
+        for j in range(k):
+            w.prop[j] += 1
+            bj = w.beta[j]
+            bj_new = bj + z[j]
+            lp_new = w.lp + model.X[:, j] * z[j]
+            rows_new = _oracle_rows(lp_new, w.eta, y, s, l)
+            ll_new = float(rows_new.sum()) if y.size else 0.0
+            delta = (ll_new - w.ll) + (bj * bj - bj_new * bj_new) / (2.0 * vp)
+            if lu[j] < delta:
+                w.acc[j] += 1
+                w.beta[j] = bj_new
+                w.lp, w.rows, w.ll = lp_new, rows_new, ll_new
+    w.prop[b_eta] += 1
+    eta_new = w.eta + float(rng.normal(0.0, 1.0)) * tuning.eta_scale
+    rows_new = _oracle_rows(w.lp, eta_new, y, s, l)
+    ll_new = float(rows_new.sum()) if y.size else 0.0
+    delta = (ll_new - w.ll) + (w.eta ** 2 - eta_new ** 2) / (2.0 * vp)
+    if np.log(float(rng.uniform())) < delta:
+        w.acc[b_eta] += 1
+        w.eta, w.rows, w.ll = eta_new, rows_new, ll_new
+    if m:
+        w.prop[b_u0:b_u0 + m] += 1
+        z = np.asarray(rng.normal(0.0, 1.0, m)) * tuning.u_scales
+        u_new = w.u + z
+        prior_delta = (w.u ** 2 - u_new ** 2) / (2.0 * w.sigma2)
+        if y.size:
+            rows_new = _oracle_rows(w.lp + z[gi], w.eta, y, s, l)
+            cur = np.bincount(gi, weights=w.rows, minlength=m)
+            new = np.bincount(gi, weights=rows_new, minlength=m)
+            with np.errstate(invalid="ignore"):
+                delta = (new - cur) + prior_delta
+            delta = np.where(np.isnan(delta), -np.inf, delta)
+        else:
+            delta = prior_delta
+        accept = np.log(np.asarray(rng.uniform(size=m))) < delta
+        w.acc[b_u0:b_u0 + m] += accept.astype(int)
+        if accept.any():
+            w.u[accept] = u_new[accept]
+            if y.size:
+                w.lp = w.lp + np.where(accept[gi], z[gi], 0.0)
+                w.rows = _oracle_rows(w.lp, w.eta, y, s, l)
+                w.ll = float(w.rows.sum())
+    w.prop[b_sig] += 1
+    log_sig = 0.5 * np.log(w.sigma2)
+    log_sig_new = log_sig + float(rng.normal(0.0, 1.0)) * tuning.sigma_scale
+    sig_new = np.exp(log_sig_new)
+    if sig_new < model.sigma_upper:
+        sig2_new = sig_new * sig_new
+        usq = float(w.u @ w.u)
+        delta = (-0.5 * m * np.log(sig2_new) - usq / (2.0 * sig2_new)) \
+            - (-0.5 * m * np.log(w.sigma2) - usq / (2.0 * w.sigma2)) \
+            + (log_sig_new - log_sig)
+        if np.log(float(rng.uniform())) < delta:
+            w.acc[b_sig] += 1
+            w.sigma2 = float(sig2_new)
+
+
+def _edge_case():
+    """All-zero column, a column non-zero on three rows, a 0/1 dummy and a
+    slope; responses with exact 0s and 1s. The three-row column's scale
+    is wide enough that proposals push its rows' mu onto 0 or 1, and the
+    walk starts there."""
+    rs = np.random.default_rng(21)
+    n, m = 60, 5
+    X = np.column_stack([np.ones(n), np.zeros(n), np.zeros(n),
+                         (np.arange(n) % 2).astype(float), rs.normal(size=n)])
+    X[[3, 17, 42], 2] = [1.0, 1.0, 0.5]
+    y = rs.uniform(0.05, 0.95, n)
+    y[[0, 5, 9]] = 0.0
+    y[[2, 11]] = 1.0
+    model = HierLinearModel(
+        X=X, coef_names=("b0", "zero", "few", "dummy", "slope"),
+        group_index=np.arange(n) % m, n_groups=m,
+        group_labels=tuple(f"g{i}" for i in range(m)))
+    tuning = Tuning.default(model)
+    tuning.beta_scales[2] = 30.0
+    start = initial_state(model, y)
+    beta = start.beta.copy()
+    beta[2] = 40.0  # rows 3 and 17 at mu == 1
+    saturated = ChainState(beta=beta, u=start.u, eta=start.eta,
+                           sigma2=start.sigma2)
+    return model, y, tuning, saturated
+
+
+def _oracle_case(name):
+    if name == "edge":
+        return _edge_case()
+    fx = gen_alcohol_fixture(rounding_decimals=3 if name == "rounded" else None)
+    model, y = build_hier_model(fx.data)
+    return model, y, Tuning.default(model), initial_state(model, y)
+
+
+def _both(monkeypatch, run):
+    new = run()
+    with monkeypatch.context() as mp:
+        mp.setattr(bhl, "_Work", _OracleWork)
+        mp.setattr(bhl, "_sweep", _oracle_sweep)
+        old = run()
+    return new, old
+
+
+@pytest.mark.parametrize("case", ["default", "rounded", "edge"])
+def test_incremental_sweep_is_the_full_recompute(case, monkeypatch):
+    model, y, tuning, start = _oracle_case(case)
+    if case == "rounded":
+        assert (y == 0.0).sum() > 100
+    new, old = _both(monkeypatch, lambda: run_chain(
+        model, y, iters=300, burnin=200, thin=1, seed=1, tuning=tuning))
+    assert np.array_equal(new.draws, old.draws)
+    assert new.summary.acceptance_rates == old.summary.acceptance_rates
+    for part in ("beta_scales", "eta_scale", "u_scales", "sigma_scale"):
+        assert np.array_equal(getattr(new.tuning, part),
+                              getattr(old.tuning, part))
+
+    def walk():
+        rng, cur, path = Rng(2), start, []
+        for _ in range(50):
+            cur = mh_step(cur, model, y, rng, tuning)
+            path.append(np.concatenate([cur.beta, cur.u, [cur.eta, cur.sigma2],
+                                        cur.accept_counts]))
+        return np.array(path)
+
+    new_path, old_path = _both(monkeypatch, walk)
+    assert np.array_equal(new_path, old_path)
+    if case == "edge":
+        # the walk starts with some mu at exactly 1, leaves that start,
+        # and keeps moving the three-row coefficient
+        assert (expit(model.X @ start.beta) == 1.0).any()
+        assert len(set(new_path[:, 2])) > 3
+        assert np.isfinite(hier_linear_loglik(
+            ChainState(beta=new_path[-1, :5], u=new_path[-1, 5:10],
+                       eta=new_path[-1, 10], sigma2=new_path[-1, 11]),
+            model, y))
 
 
 # ---------------------------------------------------------------- fixture

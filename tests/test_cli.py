@@ -422,6 +422,37 @@ def test_density_validation(tmp_path, capsys):
     capsys.readouterr()
 
 
+# --- malformed input --------------------------------------------------------
+
+@pytest.mark.parametrize("argv, config, code, message", [
+    (["density", "--mu", "0.5", "--phi", "1e-320"], None, EXIT_NUMERICAL,
+     "sltb_pdf is nan at grid point g=0.0"),
+    (["hier-linear", "--data", "@alc"], {"spec": {"terms": ["medDays"]}},
+     EXIT_VALIDATION, "spec needs 'response' and 'terms'"),
+    (["hier-linear", "--data", "@alc"], {"iters": "abc"}, EXIT_VALIDATION,
+     "config 'iters' must be an integer, got 'abc'"),
+    (["hier-nonlinear"], {"nsubj": 3, "priors": {"a1": "x"}}, EXIT_VALIDATION,
+     "priors 'a1' must be a number, got 'x'"),
+    (["simulate"], {"n": "ten", "reps": 2}, EXIT_VALIDATION,
+     "config 'n' must be an integer, got 'ten'"),
+], ids=["density-tiny-phi", "spec-without-response", "iters-not-int",
+        "prior-not-number", "n-not-int"])
+def test_malformed_input_exits_with_message(argv, config, code, message,
+                                            alcohol_csv, tmp_path, capsys):
+    argv = [str(alcohol_csv) if a == "@alc" else a for a in argv]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())  # nothing written
+
+
 def test_console_script_runs():
     proc = subprocess.run([sys.executable, "-m", "sltb", "--help"],
                           capture_output=True, text=True)
