@@ -53,18 +53,15 @@ from .distributions import (
     DEFAULT_S,
     BetaMuPhi,
     SltbParams,
-    SltbSample,
     beta_logpdf,
     sl_pdf,
     sltb_cdf,
     sltb_logpdf,
     sltb_mean,
-    sltb_normalizer,
     sltb_pdf,
     sltb_quantile,
     sltb_sample,
     sltb_var,
-    tune_scale_location,
 )
 from .errors import (
     BoundaryError,
@@ -80,15 +77,7 @@ from .kernel import (
     composite_rule,
     gauss_legendre,
     integrate,
-    inv_reg_inc_beta,
-    lgamma,
     numeric_hessian,
-    reg_inc_beta,
-    sample_beta,
-    sample_gamma,
-    sample_normal,
-    sample_uniform,
-    std_normal_cdf,
 )
 from .regression import (
     FitResult,

@@ -33,14 +33,17 @@ from .data import TabularDataset
 from .distributions import DEFAULT_L, DEFAULT_S, log_x_pair, sltb_logpdf_arrays
 from .errors import NumericalError, ValidationError
 from .kernel import Rng
-from .regression import RegressionSpec, build_design, response_vector
+from .regression import (
+    ETA_LIMIT,
+    RegressionSpec,
+    build_design,
+    response_vector,
+)
 
 # study design: medDays slope, gender and grade dummies, grade-gender interactions
 HIER_SPEC = RegressionSpec(
     "y", ("medDays", "gender", "grade", "grade:gender"),
     factors={"gender": "F", "grade": "7"})
-
-_ETA_LIMIT = 50.0
 
 
 @dataclass(frozen=True)
@@ -188,7 +191,7 @@ def _safe_rows(lp: np.ndarray, eta: float, y: np.ndarray,
     if y.size == 0:
         return np.zeros(0)
     out = np.full(y.shape, -np.inf)
-    if abs(eta) > _ETA_LIMIT:
+    if abs(eta) > ETA_LIMIT:
         return out
     mu = expit(lp)
     ok = (mu > 0.0) & (mu < 1.0)

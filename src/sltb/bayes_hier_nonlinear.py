@@ -21,9 +21,9 @@ from .data import TabularDataset
 from .distributions import DEFAULT_L, DEFAULT_S, log_x_pair, sltb_logpdf_arrays
 from .errors import NumericalError, ValidationError
 from .kernel import Rng
+from .regression import ETA_LIMIT
 
 _PSI_GRID = np.linspace(-12.0, 2.0, 29)
-_LNPHI_LIMIT = 50.0
 
 
 @dataclass(frozen=True)
@@ -243,7 +243,7 @@ def sltb_subject_logliks(psi: np.ndarray, ln_phi: np.ndarray,
     if data.n_delays == 0:
         return np.zeros(len(y))
     out = np.full(len(y), -np.inf)
-    usable = np.abs(ln_phi) <= _LNPHI_LIMIT
+    usable = np.abs(ln_phi) <= ETA_LIMIT
     mu = discount_mean(psi[:, None], np.asarray(data.delays)[None, :])
     usable &= ((mu > 0.0) & (mu < 1.0)).all(axis=1)
     if not usable.any():

@@ -166,6 +166,26 @@ def _number(obj: dict, key: str, kind, default, what: str = "config"):
             f"{what} '{key}' must be {noun}, got {value!r}") from None
 
 
+def _optional_int(obj: dict, key: str, default):
+    """`_number(obj, key, int, default)`, except that null stays None."""
+    if obj.get(key, default) is None:
+        return None
+    return _number(obj, key, int, default)
+
+
+def _list_of(obj: dict, key: str, default, kind, noun: str) -> tuple:
+    """`obj[key]` (or `default`) as a tuple of `kind`; anything but a JSON
+    list of convertible values is a ValidationError naming the key."""
+    value = obj.get(key, default)
+    try:
+        if isinstance(value, (list, tuple)):
+            return tuple(kind(v) for v in value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValidationError(
+        f"config '{key}' must be a list of {noun}, got {value!r}")
+
+
 def _spec_from_obj(obj, where: str) -> RegressionSpec:
     """Spec object {response, terms[], factors{column: reference}}; `where`
     names its source in error messages."""
@@ -266,11 +286,12 @@ def cmd_simulate(args, started: str) -> None:
     seed = resolve_seed(args.seed, obj.get("base_seed"))
     cfg = SimConfig(
         n=_number(obj, "n", int, None), reps=_number(obj, "reps", int, None),
-        beta_true=tuple(obj.get("beta_true", (1.2, -0.88, 0.43, -0.52))),
+        beta_true=_list_of(obj, "beta_true", (1.2, -0.88, 0.43, -0.52),
+                           float, "numbers"),
         phi_true=_number(obj, "phi_true", float, 10.0),
-        rounding_decimals=obj.get("rounding_decimals", 2),
+        rounding_decimals=_optional_int(obj, "rounding_decimals", 2),
         base_seed=seed)
-    methods = tuple(obj.get("methods", ("sltb",)))
+    methods = _list_of(obj, "methods", ("sltb",), str, "method names")
     report = run_study(cfg, methods=methods, threads=args.threads)
 
     header, rows = records_table(report)
@@ -340,7 +361,7 @@ def cmd_hier_nonlinear(args, started: str) -> None:
     obj = _load_json_object(args.config, "config") if args.config else {}
     _check_keys(obj, _NONLINEAR_KEYS, "config")
     seed = resolve_seed(args.seed, obj.get("seed"))
-    models = tuple(obj.get("models", ("sltb", "normal")))
+    models = _list_of(obj, "models", ("sltb", "normal"), str, "model names")
     for m in models:
         if m not in ("sltb", "normal"):
             raise ValidationError(f"unknown model '{m}', expected sltb or normal")
@@ -371,10 +392,10 @@ def cmd_hier_nonlinear(args, started: str) -> None:
         _check_keys(truth_obj, _TRUTH_KEYS, "truth")
         truth = DiscountTruth(**{k: _number(truth_obj, k, float, None, "truth")
                                  for k in truth_obj})
-        rounding = obj.get("rounding_decimals")
+        rounding = _optional_int(obj, "rounding_decimals", None)
         samp = gen_discount_data(
             nsubj=_number(obj, "nsubj", int, 100),
-            delays=tuple(float(d) for d in obj.get("delays", DEFAULT_DELAYS)),
+            delays=_list_of(obj, "delays", DEFAULT_DELAYS, float, "numbers"),
             truth=truth, seed=seed, rounding_decimals=rounding)
         data = samp.data
         write_csv(os.path.join(out, "data.csv"), data.to_table())

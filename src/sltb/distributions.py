@@ -8,8 +8,10 @@ indistinguishable from the beta on the interior yet stays finite and
 positive at g = 0 and g = 1, which is what lets likelihoods accept
 boundary observations.
 
-All heavy lifting happens in the vectorized ``*_arrays`` helpers; the
-dataclass API wraps them for scalar use.
+The density, its normalizer and the cdf each have one vectorized
+``*_arrays`` core. The public functions take an ``SltbParams`` and a
+scalar or array argument, check its domain, and return a float for a
+scalar argument and an array otherwise.
 """
 
 from __future__ import annotations
@@ -106,33 +108,24 @@ class SltbParams:
         return self.l > 0.0 and 1.0 / self.s + self.l < 1.0
 
 
-@dataclass(frozen=True)
-class SltbSample:
-    """One accepted draw plus the rejection count that produced it."""
-
-    value: float
-    rejections: int
-
-    def __post_init__(self):
-        if not (0.0 <= self.value <= 1.0):
-            raise DomainError(f"sample outside [0,1]: {self.value}")
-
-
 # ---------------------------------------------------------------------------
 # vectorized cores
 # ---------------------------------------------------------------------------
+
+def _beta_log_core(a, b, ln_x, ln_1mx):
+    """ln f_beta(x) for shapes (a, b), given ln x and ln(1-x)."""
+    return (
+        _sp.gammaln(a + b) - _sp.gammaln(a) - _sp.gammaln(b)
+        + (a - 1.0) * ln_x + (b - 1.0) * ln_1mx
+    )
+
 
 def beta_logpdf_arrays(mu, phi, y):
     """Log-density of Beta(mu*phi, (1-mu)*phi) at interior points, vectorized.
 
     No domain checking; callers guarantee 0 < y < 1 and 0 < mu < 1.
     """
-    a = mu * phi
-    b = (1.0 - mu) * phi
-    return (
-        _sp.gammaln(a + b) - _sp.gammaln(a) - _sp.gammaln(b)
-        + (a - 1.0) * np.log(y) + (b - 1.0) * np.log1p(-y)
-    )
+    return _beta_log_core(mu * phi, (1.0 - mu) * phi, np.log(y), np.log1p(-y))
 
 
 def log_x_pair(g, s, l):
@@ -177,13 +170,8 @@ def sltb_logpdf_arrays(mu, phi, s, l, g, logs=None):
     depends on g alone: a caller that evaluates many (mu, phi) at one g,
     such as a fit's objective, computes it once and passes it in.
     """
-    a = mu * phi
-    b = (1.0 - mu) * phi
     ln_x, ln_1mx = log_x_pair(g, s, l)[2:] if logs is None else logs
-    core = (
-        _sp.gammaln(a + b) - _sp.gammaln(a) - _sp.gammaln(b)
-        + (a - 1.0) * ln_x + (b - 1.0) * ln_1mx - np.log(s)
-    )
+    core = _beta_log_core(mu * phi, (1.0 - mu) * phi, ln_x, ln_1mx) - np.log(s)
     log_norm = sltb_log_normalizer_arrays(mu, phi, s, l)
     # an underflowed normalizer means the window holds no representable
     # mass; report log 0 there instead of a sign-flipped overflow
@@ -191,15 +179,45 @@ def sltb_logpdf_arrays(mu, phi, s, l, g, logs=None):
         return np.where(np.isfinite(log_norm), core - log_norm, -np.inf)
 
 
-def _cdf_numerator_arrays(a, b, x, one_minus, l):
-    """F_beta(x) - F_beta(l), branch-selected for accuracy at either end."""
-    low = _sp.betainc(a, b, np.minimum(x, 0.5)) - _sp.betainc(a, b, l)
-    high = 1.0 - _sp.betainc(b, a, np.maximum(one_minus, 0.0)) - _sp.betainc(a, b, l)
-    return np.where(x <= 0.5, low, high)
+def _cdf_arrays(p: SltbParams, g, norm: float):
+    """(F_beta(g/s + l) - F_beta(l)) / norm; F_beta(x) is taken from the
+    lower tail for x <= 1/2 and from the upper tail above, for accuracy at
+    either end. The top of the support maps to exactly 1."""
+    a, b = p.alpha(), p.beta_shape()
+    x, one_minus, _, _ = log_x_pair(g, p.s, p.l)
+    lower = x <= 0.5
+    tail = _sp.betainc(np.where(lower, a, b), np.where(lower, b, a),
+                       np.where(lower, x, np.maximum(one_minus, 0.0)))
+    num = np.where(lower, tail, 1.0 - tail) - _sp.betainc(a, b, p.l)
+    return np.where(g >= 1.0, 1.0, np.clip(num / norm, 0.0, 1.0))
+
+
+def _normalizer(p: SltbParams) -> float:
+    """Truncation normalizer Z of `p`; a NumericalError where it underflows,
+    since no cdf or quantile is defined on a window without mass."""
+    log_norm = float(sltb_log_normalizer_arrays(p.mu, p.phi, p.s, p.l))
+    if not np.isfinite(log_norm):
+        raise NumericalError(
+            f"the truncation window [l, 1/s + l] holds no representable "
+            f"beta mass at mu={p.mu}, phi={p.phi} (ln normalizer {log_norm})")
+    return math.exp(log_norm)
+
+
+def _unit_interval(v, name: str) -> np.ndarray:
+    """`v` as a float array, refused unless every entry is finite and in [0,1]."""
+    arr = np.asarray(v, dtype=float)
+    if np.any((arr < 0.0) | (arr > 1.0)) or np.any(~np.isfinite(arr)):
+        raise DomainError(f"{name} must lie in [0,1], got {v!r}")
+    return arr
+
+
+def _shaped_like(v, out):
+    """A float for a scalar argument `v`, the array `out` otherwise."""
+    return float(out) if np.ndim(v) == 0 else out
 
 
 # ---------------------------------------------------------------------------
-# public scalar API
+# public API
 # ---------------------------------------------------------------------------
 
 def beta_logpdf(p: BetaMuPhi, y: float) -> float:
@@ -213,10 +231,6 @@ def beta_logpdf(p: BetaMuPhi, y: float) -> float:
     return float(beta_logpdf_arrays(p.mu, p.phi, y))
 
 
-def _x_of_z(p: SltbParams, z: float) -> float:
-    return z / p.s + p.l
-
-
 def sl_pdf(p: SltbParams, z: float) -> float:
     """Density of the scale-location transformed variable z = (y - l)*s
     before truncation: (1/s) * f_beta(z/s + l)."""
@@ -224,7 +238,7 @@ def sl_pdf(p: SltbParams, z: float) -> float:
     hi = (1.0 - p.l) * p.s
     if not (lo - _SUPPORT_TOL <= z <= hi + _SUPPORT_TOL):
         raise DomainError(f"z={z} outside transformed support [{lo}, {hi}]")
-    x = _x_of_z(p, z)
+    x = z / p.s + p.l
     a, b = p.alpha(), p.beta_shape()
     if x <= 0.0 or x >= 1.0:
         # exact support endpoint: return the limiting density value
@@ -238,36 +252,16 @@ def sl_pdf(p: SltbParams, z: float) -> float:
     return float(np.exp(beta_logpdf_arrays(p.mu, p.phi, x))) / p.s
 
 
-def sltb_normalizer(p: SltbParams) -> float:
-    """Probability that the transformed variable lands in [0,1]."""
-    a, b = p.alpha(), p.beta_shape()
-    eps_hi = (p.s - 1.0 - p.l * p.s) / p.s
-    tail = float(_sp.betainc(b, a, max(eps_hi, 0.0)) + _sp.betainc(a, b, p.l))
-    return max(1.0 - tail, 1e-300)
-
-
-def _require_interior_map(p: SltbParams, g) -> None:
-    if p.boundary_safe():
-        return
-    g = np.asarray(g, dtype=float)
-    x = g / p.s + p.l
-    if np.any(x <= 0.0) or np.any(x >= 1.0):
+def sltb_logpdf(p: SltbParams, g):
+    """SLTB log-density on the closed interval [0,1], finite at both ends."""
+    arr = _unit_interval(g, "g")
+    x = arr / p.s + p.l
+    if not p.boundary_safe() and (np.any(x <= 0.0) or np.any(x >= 1.0)):
         raise DomainError(
             "boundary evaluation requires l > 0 and 1/s + l < 1; with "
             f"s={p.s}, l={p.l} the point maps onto the beta boundary"
         )
-
-
-def sltb_logpdf(p: SltbParams, g):
-    """SLTB log-density on the closed interval [0,1], finite at both ends."""
-    arr = np.asarray(g, dtype=float)
-    if np.any((arr < 0.0) | (arr > 1.0)) or np.any(~np.isfinite(arr)):
-        raise DomainError(f"g must lie in [0,1], got {g!r}")
-    _require_interior_map(p, arr)
-    out = sltb_logpdf_arrays(p.mu, p.phi, p.s, p.l, arr)
-    if np.isscalar(g) or np.ndim(g) == 0:
-        return float(out)
-    return out
+    return _shaped_like(g, sltb_logpdf_arrays(p.mu, p.phi, p.s, p.l, arr))
 
 
 def sltb_pdf(p: SltbParams, g):
@@ -277,46 +271,24 @@ def sltb_pdf(p: SltbParams, g):
 
 def sltb_cdf(p: SltbParams, g):
     """CDF of the SLTB law: (F_beta(g/s + l) - F_beta(l)) / normalizer."""
-    arr = np.asarray(g, dtype=float)
-    if np.any((arr < 0.0) | (arr > 1.0)) or np.any(~np.isfinite(arr)):
-        raise DomainError(f"g must lie in [0,1], got {g!r}")
-    a, b = p.alpha(), p.beta_shape()
-    x, one_minus, _, _ = log_x_pair(arr, p.s, p.l)
-    num = _cdf_numerator_arrays(a, b, x, one_minus, p.l)
-    den = sltb_normalizer(p)
-    out = np.clip(num / den, 0.0, 1.0)
-    if np.isscalar(g) or np.ndim(g) == 0:
-        return float(out)
-    return out
+    arr = _unit_interval(g, "g")
+    return _shaped_like(g, _cdf_arrays(p, arr, _normalizer(p)))
 
 
-def sltb_quantile(p: SltbParams, q: float) -> float:
-    """Right inverse of sltb_cdf by bisection, seeded from the beta quantile."""
-    if not (0.0 <= q <= 1.0) or not math.isfinite(q):
-        raise DomainError(f"q must lie in [0,1], got {q!r}")
-    if q == 0.0:
-        return 0.0
-    if q == 1.0:
-        return 1.0
+def sltb_quantile(p: SltbParams, q):
+    """Right inverse of sltb_cdf, in closed form: z = (x - l)*s for the
+    beta quantile x of F_beta(l) + q*Z, clipped to [0,1] and polished by
+    one Newton step on the cdf. q = 0 and q = 1 map to 0 and 1."""
+    arr = _unit_interval(q, "q")
     a, b = p.alpha(), p.beta_shape()
-    lo_cdf = float(_sp.betainc(a, b, p.l))
-    target_x = float(_sp.betaincinv(a, b, lo_cdf + q * sltb_normalizer(p)))
-    guess = min(max((target_x - p.l) * p.s, 0.0), 1.0)
-    lo, hi = max(0.0, guess - 1e-3), min(1.0, guess + 1e-3)
-    # widen until the bracket straddles q, then bisect
-    while lo > 0.0 and sltb_cdf(p, lo) > q:
-        lo = max(0.0, lo - (hi - lo) * 4.0)
-    while hi < 1.0 and sltb_cdf(p, hi) < q:
-        hi = min(1.0, hi + (hi - lo) * 4.0)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if sltb_cdf(p, mid) < q:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    norm = _normalizer(p)
+    target = np.minimum(_sp.betainc(a, b, p.l) + arr * norm, 1.0)
+    g = np.clip((_sp.betaincinv(a, b, target) - p.l) * p.s, 0.0, 1.0)
+    with np.errstate(all="ignore"):  # an infinite or zero density skips the step
+        step = (_cdf_arrays(p, g, norm) - arr) / np.exp(
+            sltb_logpdf_arrays(p.mu, p.phi, p.s, p.l, g))
+    g = np.where(np.isfinite(step), np.clip(g - step, 0.0, 1.0), g)
+    return _shaped_like(q, np.where((arr == 0.0) | (arr == 1.0), arr, g))
 
 
 def sltb_mean(p: SltbParams) -> float:
@@ -330,67 +302,25 @@ def sltb_var(p: SltbParams) -> float:
     return p.s * p.s * p.mu * (1.0 - p.mu) / (p.phi + 1.0)
 
 
-def sltb_sample(p: SltbParams, rng: Rng, max_retries: int = 10 ** 6) -> SltbSample:
-    """Rejection sampler: draw y ~ beta, transform, accept if inside [0,1].
+def sltb_sample(p: SltbParams, rng: Rng, size=None):
+    """Rejection sampler: draw y ~ beta, map z = (y - l)*s, keep z in [0,1].
 
-    The acceptance probability equals the normalizer (about 1 - 1e-8 at
+    One float for ``size=None``, else an array of ``size`` draws. The
+    acceptance probability equals the normalizer (about 1 - 1e-8 at
     default s, l), so rejections are essentially never observed there.
     """
-    a, b = p.alpha(), p.beta_shape()
-    rejections = 0
-    for _ in range(max_retries):
-        y = float(rng.beta(a, b))
-        z = (y - p.l) * p.s
-        if 0.0 <= z <= 1.0:
-            return SltbSample(z, rejections)
-        rejections += 1
-    raise NumericalError(
-        f"sltb_sample exceeded {max_retries} retries; acceptance probability "
-        f"{sltb_normalizer(p)} is pathologically small for {p}"
-    )
-
-
-def sltb_sample_many(p: SltbParams, rng: Rng, size: int) -> np.ndarray:
-    """Vectorized rejection sampling; same law as sltb_sample."""
-    out = np.empty(size, dtype=float)
+    n = 1 if size is None else size
+    out = np.empty(n, dtype=float)
     filled = 0
-    rounds = 0
-    while filled < size:
-        want = size - filled
-        y = rng.beta(p.alpha(), p.beta_shape(), size=want)
+    for _ in range(10 ** 6):
+        y = rng.beta(p.alpha(), p.beta_shape(), size=n - filled)
         z = (y - p.l) * p.s
         keep = z[(z >= 0.0) & (z <= 1.0)]
         out[filled:filled + keep.size] = keep
         filled += keep.size
-        rounds += 1
-        if rounds > 10 ** 6:
-            raise NumericalError("sltb_sample_many: acceptance rate pathologically small")
-    return out
-
-
-def tune_scale_location(
-    mu: float = 0.5,
-    phi: float = 4.0,
-    grid_points: int = 10_000,
-    log10_s_minus_1=(-10.0, -6.0),
-    log10_l=(-11.0, -7.0),
-    steps: int = 9,
-) -> tuple[float, float]:
-    """Grid search for (s, l) minimizing the summed squared difference
-    between the SLTB and plain beta densities on a fine interior grid.
-
-    This is the audit trail for the default constants: they sit in the
-    region where the two densities agree to within floating-point noise.
-    """
-    g = np.linspace(0.0, 1.0, grid_points + 2)[1:-1]
-    base = np.exp(beta_logpdf_arrays(mu, phi, g))
-    best = None
-    for es in np.linspace(*log10_s_minus_1, steps):
-        for el in np.linspace(*log10_l, steps):
-            s = 1.0 + 10.0 ** es
-            l = 10.0 ** el
-            diff = np.exp(sltb_logpdf_arrays(mu, phi, s, l, g)) - base
-            score = float(np.sum(diff * diff))
-            if best is None or score < best[0]:
-                best = (score, s, l)
-    return best[1], best[2]
+        if filled == n:
+            break
+    else:
+        raise NumericalError(
+            f"sltb_sample: acceptance rate pathologically small for {p}")
+    return float(out[0]) if size is None else out

@@ -1,10 +1,9 @@
-"""Numeric kernel: special functions, quadrature, differentiation, RNG.
+"""Numeric kernel: the seedable RNG, quadrature and the central-difference
+Hessian.
 
-Every other module funnels its numerics through these functions so the
-behavior (accuracy, determinism, error handling) is pinned in one place.
-The special functions delegate to scipy.special, which meets the accuracy
-contracts here with large margin; the wrappers add domain checking and a
-stable argument order.
+``Rng`` is the package's one source of randomness; every generator and
+sampler takes one. ``numeric_hessian`` gives ``fit_mle`` its observed
+information. The quadrature rules integrate densities to check them.
 """
 
 from __future__ import annotations
@@ -62,33 +61,25 @@ class Rng:
         redrawing a bounded number of times handles occasional underflow,
         and the remainder falls back to inverse-CDF sampling conditioned
         on the representable open interval, which cannot land outside it.
+        Scalar shapes with ``size=None`` give one float.
         """
         if np.any(np.asarray(a) <= 0) or np.any(np.asarray(b) <= 0):
             raise DomainError(f"beta shapes must be positive, got a={a}, b={b}")
         g1 = self._gen.gamma(a, 1.0, size)
         g2 = self._gen.gamma(b, 1.0, size)
-        if size is None and np.ndim(g1) == 0:
-            out = float(g1) / (float(g1) + float(g2))
-            for _ in range(1000):
-                if 0.0 < out < 1.0:
-                    return out
-                r1 = self._gen.gamma(a, 1.0)
-                r2 = self._gen.gamma(b, 1.0)
-                out = r1 / (r1 + r2)
-            return float(self._beta_interior_icdf(float(a), float(b)))
         out = np.asarray(g1 / (g1 + g2))
         a_full = np.broadcast_to(np.asarray(a, dtype=float), out.shape)
         b_full = np.broadcast_to(np.asarray(b, dtype=float), out.shape)
         for _ in range(1000):
             bad = ~((out > 0.0) & (out < 1.0))
             if not bad.any():
-                return out
+                return out[()]
             r1 = self._gen.gamma(a_full[bad], 1.0)
             r2 = self._gen.gamma(b_full[bad], 1.0)
             out[bad] = r1 / (r1 + r2)
         bad = ~((out > 0.0) & (out < 1.0))
         out[bad] = self._beta_interior_icdf(a_full[bad], b_full[bad])
-        return out
+        return out[()]
 
     def _beta_interior_icdf(self, a, b):
         """Inverse-CDF beta draw conditioned on the open interval of
@@ -111,69 +102,6 @@ class Rng:
         if hi == lo:
             return lo if size is None else np.full(size, float(lo))
         return lo + (hi - lo) * self._gen.random(size)
-
-
-def sample_normal(rng: Rng, mean: float, sd: float, size=None):
-    return rng.normal(mean, sd, size)
-
-
-def sample_gamma(rng: Rng, shape, scale, size=None):
-    return rng.gamma(shape, scale, size)
-
-
-def sample_beta(rng: Rng, a, b, size=None):
-    return rng.beta(a, b, size)
-
-
-def sample_uniform(rng: Rng, lo: float, hi: float, size=None):
-    return rng.uniform(lo, hi, size)
-
-
-# ---------------------------------------------------------------------------
-# special functions
-# ---------------------------------------------------------------------------
-
-def _match_input(x, value):
-    """Return a python float for scalar input, ndarray otherwise."""
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(value)
-    return np.asarray(value)
-
-
-def lgamma(x):
-    """Natural log of the gamma function for positive arguments."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise DomainError(f"lgamma requires finite x > 0, got {x!r}")
-    return _match_input(x, _sp.gammaln(arr))
-
-
-def reg_inc_beta(x, a, b):
-    """Regularized incomplete beta function I_x(a, b), the Beta(a,b) CDF."""
-    xa = np.asarray(x, dtype=float)
-    if np.any((xa < 0.0) | (xa > 1.0)) or np.any(~np.isfinite(xa)):
-        raise DomainError(f"reg_inc_beta requires 0 <= x <= 1, got {x!r}")
-    if np.any(np.asarray(a) <= 0) or np.any(np.asarray(b) <= 0):
-        raise DomainError(f"reg_inc_beta shapes must be positive, got a={a}, b={b}")
-    return _match_input(x, _sp.betainc(a, b, xa))
-
-
-def inv_reg_inc_beta(p, a, b):
-    """Inverse of reg_inc_beta in its first argument."""
-    pa = np.asarray(p, dtype=float)
-    if np.any((pa < 0.0) | (pa > 1.0)) or np.any(~np.isfinite(pa)):
-        raise DomainError(f"inv_reg_inc_beta requires 0 <= p <= 1, got {p!r}")
-    if np.any(np.asarray(a) <= 0) or np.any(np.asarray(b) <= 0):
-        raise DomainError(f"inv_reg_inc_beta shapes must be positive, got a={a}, b={b}")
-    return _match_input(p, _sp.betaincinv(a, b, pa))
-
-
-def std_normal_cdf(x):
-    """Standard normal CDF."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(np.isnan(arr)):
-        raise DomainError("std_normal_cdf requires a non-NaN argument")
-    return _match_input(x, _sp.ndtr(arr))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 import numpy as np
 from scipy import linalg as _la
 from scipy import optimize as _opt
-from scipy.special import expit, logit
+from scipy.special import expit, logit, ndtr
 
 from . import kernel
 from .data import TabularDataset
@@ -35,7 +35,7 @@ from .errors import (
     ValidationError,
 )
 
-_ETA_LIMIT = 50.0  # |eta| beyond this is treated as a failed proposal region
+ETA_LIMIT = 50.0  # |eta| = |ln phi| beyond this is treated as a failed region
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,7 @@ def loglik_beta(theta: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
             rows=tuple(int(i) for i in boundary))
     beta, eta = _theta_parts(theta, X)
     lp = _linear_predictor(beta, X)
-    if abs(eta) > _ETA_LIMIT:
+    if abs(eta) > ETA_LIMIT:
         return -np.inf
     mu = expit(lp)
     if (mu <= 0.0).any() or (mu >= 1.0).any():
@@ -236,7 +236,7 @@ def loglik_sltb(theta: np.ndarray, X: np.ndarray, y: np.ndarray,
         logs = log_x_pair(y, s, l)[2:]
     beta, eta = _theta_parts(theta, X)
     lp = _linear_predictor(beta, X)
-    if abs(eta) > _ETA_LIMIT:
+    if abs(eta) > ETA_LIMIT:
         return -np.inf
     mu = expit(lp)
     if (mu <= 0.0).any() or (mu >= 1.0).any():
@@ -343,7 +343,7 @@ def fit_mle(spec: RegressionSpec, data: TabularDataset, family: str = "sltb",
     se = np.sqrt(diag)
     est = np.asarray(theta_hat, dtype=float)
     z = est / se
-    pvals = 2.0 * (1.0 - kernel.std_normal_cdf(np.abs(z)))
+    pvals = 2.0 * (1.0 - ndtr(np.abs(z)))
 
     return FitResult(
         family=family,

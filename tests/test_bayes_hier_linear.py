@@ -242,7 +242,7 @@ def _oracle_rows(lp, eta, y, s, l):
     if y.size == 0:
         return np.zeros(0)
     out = np.full(y.shape, -np.inf)
-    if abs(eta) > bhl._ETA_LIMIT:
+    if abs(eta) > bhl.ETA_LIMIT:
         return out
     mu = expit(lp)
     ok = (mu > 0.0) & (mu < 1.0)

@@ -435,8 +435,20 @@ def test_density_validation(tmp_path, capsys):
      "priors 'a1' must be a number, got 'x'"),
     (["simulate"], {"n": "ten", "reps": 2}, EXIT_VALIDATION,
      "config 'n' must be an integer, got 'ten'"),
+    (["simulate"], {"n": 20, "reps": 2, "beta_true": 3}, EXIT_VALIDATION,
+     "config 'beta_true' must be a list of numbers, got 3"),
+    (["simulate"], {"n": 20, "reps": 2, "rounding_decimals": "x"},
+     EXIT_VALIDATION, "config 'rounding_decimals' must be an integer, got 'x'"),
+    (["simulate"], {"n": 20, "reps": 2, "methods": "sltb"}, EXIT_VALIDATION,
+     "config 'methods' must be a list of method names, got 'sltb'"),
+    (["hier-nonlinear"], {"nsubj": 3, "delays": 3}, EXIT_VALIDATION,
+     "config 'delays' must be a list of numbers, got 3"),
+    (["hier-nonlinear"], {"nsubj": 3, "models": "sltb"}, EXIT_VALIDATION,
+     "config 'models' must be a list of model names, got 'sltb'"),
 ], ids=["density-tiny-phi", "spec-without-response", "iters-not-int",
-        "prior-not-number", "n-not-int"])
+        "prior-not-number", "n-not-int", "beta-true-not-list",
+        "rounding-not-int", "methods-not-list", "delays-not-list",
+        "models-not-list"])
 def test_malformed_input_exits_with_message(argv, config, code, message,
                                             alcohol_csv, tmp_path, capsys):
     argv = [str(alcohol_csv) if a == "@alc" else a for a in argv]

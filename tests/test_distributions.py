@@ -29,14 +29,12 @@ from sltb.distributions import (
     sltb_cdf,
     sltb_logpdf,
     sltb_mean,
-    sltb_normalizer,
     sltb_pdf,
     sltb_quantile,
     sltb_sample,
     sltb_var,
-    tune_scale_location,
 )
-from sltb.errors import BoundaryError, DomainError
+from sltb.errors import BoundaryError, DomainError, NumericalError
 
 from conftest import unit_graded_rule
 
@@ -55,11 +53,29 @@ def mp_sltb_logpdf(mu: float, phi: float, s: float, l: float, g: float) -> float
     return float(log_fbeta - mpmath.log(s) - mpmath.log(norm))
 
 
-def mp_sltb_normalizer(mu: float, phi: float, s: float, l: float) -> mpmath.mpf:
+def mp_normalizer(mu: float, phi: float, s: float, l: float) -> mpmath.mpf:
     mu, phi, s, l = map(mpmath.mpf, (mu, phi, s, l))
     a, b = mu * phi, (1 - mu) * phi
     return mpmath.betainc(a, b, 0, 1 / s + l, regularized=True) \
         - mpmath.betainc(a, b, 0, l, regularized=True)
+
+
+def normalizer(p: SltbParams) -> float:
+    """The package's truncation normalizer, from its log form."""
+    return math.exp(dist.sltb_log_normalizer_arrays(p.mu, p.phi, p.s, p.l))
+
+
+class CountingRng(kernel.Rng):
+    """An Rng that counts the beta variates drawn from it, so a test sees
+    how many proposals the rejection sampler made."""
+
+    def __init__(self, seed: int):
+        super().__init__(seed)
+        self.drawn = 0
+
+    def beta(self, a, b, size=None):
+        self.drawn += 1 if size is None else int(np.prod(size))
+        return super().beta(a, b, size)
 
 
 # ---------------------------------------------------------------------------
@@ -172,18 +188,18 @@ def test_sl_pdf_support_and_integral():
 
 def test_normalizer_uniform_exact():
     p = SltbParams(0.5, 2.0)
-    assert sltb_normalizer(p) == pytest.approx(1.0 / p.s, rel=1e-14)
+    assert normalizer(p) == pytest.approx(1.0 / p.s, rel=1e-14)
 
 
 def test_normalizer_identity_is_one():
-    assert sltb_normalizer(SltbParams(0.5, 4.0, s=1.0, l=0.0)) == 1.0
+    assert normalizer(SltbParams(0.5, 4.0, s=1.0, l=0.0)) == 1.0
 
 
 def test_normalizer_default_tail_negligible():
     p = SltbParams(0.5, 4.0)
-    tail = float(1 - mp_sltb_normalizer(p.mu, p.phi, p.s, p.l))
+    tail = float(1 - mp_normalizer(p.mu, p.phi, p.s, p.l))
     assert 0.0 < tail < 1e-8  # about 1.7e-17 in exact arithmetic
-    assert sltb_normalizer(p) == pytest.approx(1.0, abs=1e-12)
+    assert normalizer(p) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_normalizer_visible_truncation_quadrature_oracle():
@@ -194,17 +210,17 @@ def test_normalizer_visible_truncation_quadrature_oracle():
                              kernel.gauss_legendre(lo, 0.0, order=40))
     above = kernel.integrate(lambda z: sl_pdf(p, z), 1.0, hi,
                              kernel.gauss_legendre(1.0, hi, order=40))
-    assert sltb_normalizer(p) == pytest.approx(1.0 - below - above, abs=1e-12)
-    assert sltb_normalizer(p) == pytest.approx(
-        float(mp_sltb_normalizer(p.mu, p.phi, p.s, p.l)), abs=1e-13
+    assert normalizer(p) == pytest.approx(1.0 - below - above, abs=1e-12)
+    assert normalizer(p) == pytest.approx(
+        float(mp_normalizer(p.mu, p.phi, p.s, p.l)), abs=1e-13
     )
 
 
 def test_normalizer_heavy_truncation_small_shapes():
     # small precision puts real beta mass outside the transformed window
     p = SltbParams(0.1, 0.5)
-    got = sltb_normalizer(p)
-    want = float(mp_sltb_normalizer(p.mu, p.phi, p.s, p.l))
+    got = normalizer(p)
+    want = float(mp_normalizer(p.mu, p.phi, p.s, p.l))
     assert got == pytest.approx(want, rel=1e-11)
     assert got < 0.99  # truncation genuinely matters here
 
@@ -221,7 +237,7 @@ def test_sltb_logpdf_uniform_boundary_is_zero():
 
 def test_sltb_logpdf_boundary_value_expected_form():
     p = SltbParams(0.5, 4.0)
-    want = math.log(6.0 * p.l * (1.0 - p.l)) - math.log(p.s * sltb_normalizer(p))
+    want = math.log(6.0 * p.l * (1.0 - p.l)) - math.log(p.s * normalizer(p))
     assert sltb_logpdf(p, 0.0) == pytest.approx(want, rel=1e-12)
     assert sltb_logpdf(p, 0.0) == pytest.approx(math.log(6e-9), abs=1e-6)
     assert sltb_logpdf(p, 0.0) == pytest.approx(
@@ -242,7 +258,7 @@ def test_sltb_logpdf_extended_precision_grid():
 def test_sltb_logpdf_matches_sl_pdf_minus_normalizer():
     p = SltbParams(0.5, 4.0, s=1.08, l=0.04)
     for g in [0.0, 0.2, 0.77, 1.0]:
-        want = math.log(sl_pdf(p, g)) - math.log(sltb_normalizer(p))
+        want = math.log(sl_pdf(p, g)) - math.log(normalizer(p))
         assert sltb_logpdf(p, g) == pytest.approx(want, rel=1e-12)
 
 
@@ -324,6 +340,37 @@ def test_sltb_cdf_quantile_round_trip_property(mu, phi, q):
     assert sltb_cdf(p, g) == pytest.approx(q, abs=1e-9)
 
 
+def test_sltb_quantile_array_is_the_scalar_calls():
+    p = SltbParams(0.3, 7.0)
+    q = np.linspace(0.0, 1.0, 201)
+    got = sltb_quantile(p, q)
+    assert isinstance(got, np.ndarray) and got.shape == q.shape
+    assert np.array_equal(got, [sltb_quantile(p, float(v)) for v in q])
+    assert isinstance(sltb_quantile(p, 0.25), float)
+
+
+@pytest.mark.parametrize("s, l", [(DEFAULT_S, DEFAULT_L), (1.08, 0.04)],
+                         ids=["default", "illustration"])
+def test_sltb_cdf_quantile_round_trip_corners(s, l):
+    q = np.array([0.001, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999])
+    for mu in (0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95):
+        for phi in (0.3, 0.5, 1.0, 2.0, 7.0, 20.0, 60.0):
+            p = SltbParams(mu, phi, s, l)
+            assert sltb_cdf(p, sltb_quantile(p, q)) == pytest.approx(
+                q, abs=1e-9), (mu, phi)
+
+
+def test_cdf_and_quantile_refuse_a_window_without_mass():
+    # shapes of 5e-31 put the beta mass within an ulp of 0 and 1, so the
+    # log-normalizer is -inf; the median of this symmetric law is 0.5,
+    # and neither 0.0 nor NaN may stand in for it
+    p = SltbParams(0.5, 1e-30)
+    assert dist.sltb_log_normalizer_arrays(p.mu, p.phi, p.s, p.l) == -np.inf
+    for law_function in (sltb_cdf, sltb_quantile):
+        with pytest.raises(NumericalError, match=r"mu=0\.5, phi=1e-30"):
+            law_function(p, 0.5)
+
+
 def test_sltb_quantile_extremes_and_domain():
     p = SltbParams(0.5, 4.0)
     assert sltb_quantile(p, 0.0) == 0.0
@@ -376,20 +423,17 @@ def test_mean_difference_symmetric_case_value():
 
 def test_sltb_sample_defaults_never_reject():
     p = SltbParams(0.5, 4.0)
-    rng = kernel.Rng(7)
-    total_rej = 0
-    for _ in range(10_000):
-        s = sltb_sample(p, rng)
-        assert 0.0 <= s.value <= 1.0
-        total_rej += s.rejections
-    assert total_rej == 0  # rejection probability ~1e-17 at defaults
+    rng = CountingRng(7)
+    draws = sltb_sample(p, rng, size=10_000)
+    assert np.all((draws >= 0.0) & (draws <= 1.0))
+    assert rng.drawn == 10_000  # rejection probability ~1e-17 at defaults
 
 
 def test_sltb_sample_monte_carlo_moments():
     p = SltbParams(0.5, 4.0)
     rng = kernel.Rng(1234)
     n = 10 ** 6
-    draws = dist.sltb_sample_many(p, rng, n)
+    draws = sltb_sample(p, rng, size=n)
     se_mean = math.sqrt(sltb_var(p) / n)
     assert draws.mean() == pytest.approx(sltb_mean(p), abs=4 * se_mean)
     # variance of the sample variance for a bounded variable, generous bound
@@ -399,35 +443,64 @@ def test_sltb_sample_monte_carlo_moments():
 def test_sltb_sample_acceptance_matches_normalizer():
     # coarse transform values so rejections actually happen
     p = SltbParams(0.5, 4.0, s=1.08, l=0.04)
-    rng = kernel.Rng(99)
+    rng = CountingRng(99)
     n = 40_000
-    rejections = 0
-    for _ in range(n):
-        rejections += sltb_sample(p, rng).rejections
-    accept_rate = n / (n + rejections)
-    norm = sltb_normalizer(p)
-    se = math.sqrt(norm * (1 - norm) / (n + rejections))
+    sltb_sample(p, rng, size=n)
+    accept_rate = n / rng.drawn
+    norm = normalizer(p)
+    se = math.sqrt(norm * (1 - norm) / rng.drawn)
     assert accept_rate == pytest.approx(norm, abs=5 * se)
 
 
 def test_sltb_sample_ks_against_cdf():
     p = SltbParams(0.5, 4.0, s=1.08, l=0.04)
     rng = kernel.Rng(2718)
-    draws = dist.sltb_sample_many(p, rng, 10 ** 5)
+    draws = sltb_sample(p, rng, size=10 ** 5)
     res = st.kstest(draws, lambda g: sltb_cdf(p, np.asarray(g)))
     assert res.pvalue > 0.001
 
 
 def test_sltb_sample_deterministic():
     p = SltbParams(0.4, 9.0)
-    a = [sltb_sample(p, kernel.Rng(5)).value for _ in range(1)]
-    b = [sltb_sample(p, kernel.Rng(5)).value for _ in range(1)]
+    a = sltb_sample(p, kernel.Rng(5))
+    b = sltb_sample(p, kernel.Rng(5))
+    assert isinstance(a, float) and 0.0 <= a <= 1.0
     assert a == b
+    assert np.array_equal(sltb_sample(p, kernel.Rng(5), size=50),
+                          sltb_sample(p, kernel.Rng(5), size=50))
 
 
 # ---------------------------------------------------------------------------
 # default (s, l) audit
 # ---------------------------------------------------------------------------
+
+def tune_scale_location(
+    mu: float = 0.5,
+    phi: float = 4.0,
+    grid_points: int = 10_000,
+    log10_s_minus_1=(-10.0, -6.0),
+    log10_l=(-11.0, -7.0),
+    steps: int = 9,
+) -> tuple[float, float]:
+    """Grid search for (s, l) minimizing the summed squared difference
+    between the SLTB and plain beta densities on a fine interior grid.
+
+    This is the audit trail for the default constants: they sit in the
+    region where the two densities agree to within floating-point noise.
+    """
+    g = np.linspace(0.0, 1.0, grid_points + 2)[1:-1]
+    base = np.exp(dist.beta_logpdf_arrays(mu, phi, g))
+    best = None
+    for es in np.linspace(*log10_s_minus_1, steps):
+        for el in np.linspace(*log10_l, steps):
+            s = 1.0 + 10.0 ** es
+            l = 10.0 ** el
+            diff = np.exp(dist.sltb_logpdf_arrays(mu, phi, s, l, g)) - base
+            score = float(np.sum(diff * diff))
+            if best is None or score < best[0]:
+                best = (score, s, l)
+    return best[1], best[2]
+
 
 def test_tune_scale_location_agrees_with_defaults_region():
     s, l = tune_scale_location(grid_points=2000, steps=5)

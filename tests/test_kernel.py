@@ -1,4 +1,5 @@
-"""Numeric kernel contracts: special functions, quadrature, Hessian, RNG."""
+"""Numeric kernel contracts (quadrature, Hessian, RNG), and the accuracy of
+the scipy.special functions that the densities and p-values call."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.stats as st
+from scipy.special import betainc, betaincinv, gammaln, ndtr
 from hypothesis import given
 from hypothesis import strategies as hs
 
@@ -18,55 +20,49 @@ from conftest import bisect_root
 
 
 # ---------------------------------------------------------------------------
-# lgamma
+# log-gamma: scipy.special.gammaln, which the densities call
 # ---------------------------------------------------------------------------
 
 def test_lgamma_known_values():
-    assert kernel.lgamma(1.0) == pytest.approx(0.0, abs=1e-15)
-    assert kernel.lgamma(2.0) == pytest.approx(0.0, abs=1e-15)
-    assert kernel.lgamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
+    assert gammaln(1.0) == pytest.approx(0.0, abs=1e-15)
+    assert gammaln(2.0) == pytest.approx(0.0, abs=1e-15)
+    assert gammaln(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
 
 
 def test_lgamma_matches_extended_precision():
     mpmath.mp.dps = 50
     for x in [1e-6, 1e-3, 0.2, 1.7, 9.0, 137.5, 1e4, 1e6]:
         want = float(mpmath.loggamma(x))
-        got = kernel.lgamma(x)
+        got = gammaln(x)
         assert got == pytest.approx(want, rel=1e-13)
 
 
 def test_lgamma_recurrence():
     for x in [0.5, 1.5, 3.7, 9.2]:
-        assert kernel.lgamma(x + 1.0) - kernel.lgamma(x) == pytest.approx(
+        assert gammaln(x + 1.0) - gammaln(x) == pytest.approx(
             math.log(x), abs=1e-12
         )
 
 
 @given(hs.floats(min_value=1e-5, max_value=1e5))
 def test_lgamma_recurrence_property(x):
-    assert kernel.lgamma(x + 1.0) - kernel.lgamma(x) == pytest.approx(
+    assert gammaln(x + 1.0) - gammaln(x) == pytest.approx(
         math.log(x), rel=1e-10, abs=1e-10
     )
 
 
-def test_lgamma_domain_error():
-    with pytest.raises(DomainError):
-        kernel.lgamma(0.0)
-    with pytest.raises(DomainError):
-        kernel.lgamma(-1.5)
-
-
 # ---------------------------------------------------------------------------
-# regularized incomplete beta and its inverse
+# regularized incomplete beta I_x(a, b) and its inverse: scipy.special's
+# betainc(a, b, x) and betaincinv(a, b, p), which the law functions call
 # ---------------------------------------------------------------------------
 
 def test_reg_inc_beta_known_values():
-    assert kernel.reg_inc_beta(0.5, 1.0, 1.0) == pytest.approx(0.5, abs=1e-15)
+    assert betainc(1.0, 1.0, 0.5) == pytest.approx(0.5, abs=1e-15)
     # I_x(2,2) = x^2 (3 - 2x)
-    assert kernel.reg_inc_beta(0.3, 2.0, 2.0) == pytest.approx(0.216, abs=1e-14)
-    assert kernel.reg_inc_beta(1e-9, 1.0, 1.0) == pytest.approx(1e-9, rel=1e-13)
-    assert kernel.reg_inc_beta(0.0, 3.0, 4.0) == 0.0
-    assert kernel.reg_inc_beta(1.0, 3.0, 4.0) == 1.0
+    assert betainc(2.0, 2.0, 0.3) == pytest.approx(0.216, abs=1e-14)
+    assert betainc(1.0, 1.0, 1e-9) == pytest.approx(1e-9, rel=1e-13)
+    assert betainc(3.0, 4.0, 0.0) == 0.0
+    assert betainc(3.0, 4.0, 1.0) == 1.0
 
 
 def test_reg_inc_beta_matches_extended_precision():
@@ -75,7 +71,7 @@ def test_reg_inc_beta_matches_extended_precision():
              (0.9999999978, 2.0, 2.0), (0.5, 40.0, 0.04), (0.2, 0.5, 9.0)]
     for x, a, b in cases:
         want = float(mpmath.betainc(a, b, 0, x, regularized=True))
-        assert kernel.reg_inc_beta(x, a, b) == pytest.approx(want, abs=1e-12)
+        assert betainc(a, b, x) == pytest.approx(want, abs=1e-12)
 
 
 @given(
@@ -84,39 +80,27 @@ def test_reg_inc_beta_matches_extended_precision():
     hs.floats(min_value=0.05, max_value=80.0),
 )
 def test_reg_inc_beta_symmetry(x, a, b):
-    left = kernel.reg_inc_beta(x, a, b)
-    right = 1.0 - kernel.reg_inc_beta(1.0 - x, b, a)
+    left = betainc(a, b, x)
+    right = 1.0 - betainc(b, a, 1.0 - x)
     assert left == pytest.approx(right, abs=1e-12)
 
 
 def test_reg_inc_beta_monotone_in_x():
-    xs = np.linspace(0.0, 1.0, 101)
-    vals = [kernel.reg_inc_beta(float(x), 2.5, 0.7) for x in xs]
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-
-def test_reg_inc_beta_domain_errors():
-    with pytest.raises(DomainError):
-        kernel.reg_inc_beta(-0.1, 1.0, 1.0)
-    with pytest.raises(DomainError):
-        kernel.reg_inc_beta(1.1, 1.0, 1.0)
-    with pytest.raises(DomainError):
-        kernel.reg_inc_beta(0.5, 0.0, 1.0)
-    with pytest.raises(DomainError):
-        kernel.reg_inc_beta(0.5, 1.0, -2.0)
+    vals = betainc(2.5, 0.7, np.linspace(0.0, 1.0, 101))
+    assert np.all(np.diff(vals) >= 0.0)
 
 
 def test_inv_reg_inc_beta_known_values():
-    assert kernel.inv_reg_inc_beta(0.5, 1.0, 1.0) == pytest.approx(0.5, abs=1e-14)
-    assert kernel.inv_reg_inc_beta(0.216, 2.0, 2.0) == pytest.approx(0.3, abs=1e-12)
+    assert betaincinv(1.0, 1.0, 0.5) == pytest.approx(0.5, abs=1e-14)
+    assert betaincinv(2.0, 2.0, 0.216) == pytest.approx(0.3, abs=1e-12)
 
 
 def test_inv_reg_inc_beta_bisection_oracle():
-    # independent root find on reg_inc_beta itself
-    want = bisect_root(lambda v: kernel.reg_inc_beta(v, 2.0, 5.0) - 0.975, 0.0, 1.0)
-    got = kernel.inv_reg_inc_beta(0.975, 2.0, 5.0)
+    # independent root find on betainc itself
+    want = bisect_root(lambda v: betainc(2.0, 5.0, v) - 0.975, 0.0, 1.0)
+    got = betaincinv(2.0, 5.0, 0.975)
     assert got == pytest.approx(want, abs=1e-12)
-    assert kernel.reg_inc_beta(got, 2.0, 5.0) == pytest.approx(0.975, abs=1e-13)
+    assert betainc(2.0, 5.0, got) == pytest.approx(0.975, abs=1e-13)
 
 
 @given(
@@ -125,47 +109,44 @@ def test_inv_reg_inc_beta_bisection_oracle():
     hs.floats(min_value=0.1, max_value=50.0),
 )
 def test_inv_reg_inc_beta_right_inverse(p, a, b):
-    v = kernel.inv_reg_inc_beta(p, a, b)
+    v = float(betaincinv(a, b, p))
     # perturbing a correctly rounded v by one ulp moves the CDF by about
     # pdf(v) * ulp(v), so the attainable tolerance scales with that product
     if 0.0 < v < 1.0:
         log_pdf = ((a - 1.0) * math.log(v) + (b - 1.0) * math.log1p(-v)
-                   + kernel.lgamma(a + b) - kernel.lgamma(a) - kernel.lgamma(b))
+                   + gammaln(a + b) - gammaln(a) - gammaln(b))
         cond = math.exp(min(log_pdf, 700.0)) * np.spacing(v)
     else:
         cond = 0.0
-    assert kernel.reg_inc_beta(v, a, b) == pytest.approx(p, abs=1e-10 + 16.0 * cond)
+    assert betainc(a, b, v) == pytest.approx(p, abs=1e-10 + 16.0 * cond)
 
 
 def test_inv_reg_inc_beta_monotone_in_p():
-    ps = np.linspace(0.0, 1.0, 101)
-    vals = [kernel.inv_reg_inc_beta(float(p), 3.0, 1.5) for p in ps]
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
+    vals = betaincinv(3.0, 1.5, np.linspace(0.0, 1.0, 101))
+    assert np.all(np.diff(vals) >= 0.0)
 
 
 # ---------------------------------------------------------------------------
-# standard normal CDF
+# standard normal CDF: scipy.special.ndtr, which the Wald p-values call
 # ---------------------------------------------------------------------------
 
 def test_std_normal_cdf_known_values():
-    assert kernel.std_normal_cdf(0.0) == pytest.approx(0.5, abs=1e-15)
-    assert kernel.std_normal_cdf(40.0) == pytest.approx(1.0, abs=1e-15)
+    assert ndtr(0.0) == pytest.approx(0.5, abs=1e-15)
+    assert ndtr(40.0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_std_normal_cdf_quadrature_oracle():
     # Phi(1.96) = 1/2 + integral of the density over [0, 1.96]
     density = lambda t: math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
     want = 0.5 + kernel.integrate(density, 0.0, 1.96)
-    assert kernel.std_normal_cdf(1.96) == pytest.approx(want, abs=1e-12)
+    assert ndtr(1.96) == pytest.approx(want, abs=1e-12)
     mpmath.mp.dps = 40
-    assert kernel.std_normal_cdf(1.96) == pytest.approx(float(mpmath.ncdf(1.96)), abs=1e-14)
+    assert ndtr(1.96) == pytest.approx(float(mpmath.ncdf(1.96)), abs=1e-14)
 
 
 def test_std_normal_cdf_symmetry():
     for x in [0.1, 0.7, 1.96, 3.5, 6.0]:
-        assert kernel.std_normal_cdf(-x) == pytest.approx(
-            1.0 - kernel.std_normal_cdf(x), abs=1e-12
-        )
+        assert ndtr(-x) == pytest.approx(1.0 - ndtr(x), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -272,29 +253,29 @@ def test_rng_derived_streams_differ():
 
 def test_sample_uniform_degenerate():
     rng = kernel.Rng(1)
-    assert kernel.sample_uniform(rng, 0.0, 0.0) == 0.0
+    assert rng.uniform(0.0, 0.0) == 0.0
     with pytest.raises(DomainError):
-        kernel.sample_uniform(rng, 1.0, 0.0)
+        rng.uniform(1.0, 0.0)
 
 
 def test_sample_normal_moments():
     rng = kernel.Rng(2024)
-    draws = kernel.sample_normal(rng, 100.0, 15.0, size=10 ** 6)
+    draws = rng.normal(100.0, 15.0, size=10 ** 6)
     assert draws.mean() == pytest.approx(100.0, abs=0.1)
     assert draws.std(ddof=1) == pytest.approx(15.0, abs=0.1)
 
 
 def test_sample_beta_moments():
     rng = kernel.Rng(99)
-    draws = kernel.sample_beta(rng, 2.0, 2.0, size=10 ** 6)
+    draws = rng.beta(2.0, 2.0, size=10 ** 6)
     assert draws.mean() == pytest.approx(0.5, abs=0.002)
     assert np.all((draws > 0.0) & (draws < 1.0))
 
 
 def test_sample_beta_ks_against_cdf():
     rng = kernel.Rng(31337)
-    draws = kernel.sample_beta(rng, 2.0, 2.0, size=10 ** 5)
-    stat = st.kstest(draws, lambda x: kernel.reg_inc_beta(x, 2.0, 2.0)).statistic
+    draws = rng.beta(2.0, 2.0, size=10 ** 5)
+    stat = st.kstest(draws, lambda x: betainc(2.0, 2.0, x)).statistic
     # asymptotic 0.001-level critical value: sqrt(ln(2/alpha)/(2n))
     crit = math.sqrt(math.log(2.0 / 0.001) / (2.0 * draws.size))
     assert stat < crit
@@ -317,13 +298,13 @@ def test_sample_beta_extreme_shapes_stay_interior():
 
 def test_sample_gamma_small_shape():
     rng = kernel.Rng(5)
-    draws = kernel.sample_gamma(rng, 0.8, 2.0, size=200_000)
+    draws = rng.gamma(0.8, 2.0, size=200_000)
     assert np.all(draws > 0)
     assert draws.mean() == pytest.approx(1.6, abs=0.02)
     with pytest.raises(DomainError):
-        kernel.sample_gamma(rng, -1.0, 1.0)
+        rng.gamma(-1.0, 1.0)
     with pytest.raises(DomainError):
-        kernel.sample_normal(rng, 0.0, 0.0)
+        rng.normal(0.0, 0.0)
 
 
 def test_rng_requires_integer_seed():
