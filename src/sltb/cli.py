@@ -454,16 +454,10 @@ def cmd_density(args, started: str) -> None:
             raise NumericalError(
                 f"{name} is {float(vals[i])} at grid point g={float(grid[i])!r}; "
                 "no density.csv written")
-    rows = []
-    j = 0
-    for i in range(args.grid_n):
-        if interior[i]:
-            rows.append([g[i], dens[i], beta_vals[j]])
-            j += 1
-        else:
-            rows.append([g[i], dens[i], None])  # beta is undefined there
-    write_csv(os.path.join(out, "density.csv"),
-              ["g", "sltb_pdf", "beta_pdf"], rows)
+    beta_col = np.full(args.grid_n, None)  # beta is undefined at 0 and 1
+    beta_col[interior] = beta_vals
+    write_csv(os.path.join(out, "density.csv"), ["g", "sltb_pdf", "beta_pdf"],
+              zip(g, dens, beta_col))
     config = {"mu": args.mu, "phi": args.phi, "s": s, "l": l,
               "grid_n": args.grid_n, "preset": args.preset}
     _finish(out, ["density"], config, None, {}, started)

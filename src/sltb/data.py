@@ -8,7 +8,7 @@ values; every complaint carries the 1-based line number.
 from __future__ import annotations
 
 import csv
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -127,25 +127,37 @@ def read_csv(path: str) -> TabularDataset:
 
 
 def write_csv(path: str, table: Union[TabularDataset, Sequence[str]],
-              rows: Optional[Sequence[Sequence]] = None) -> None:
+              rows: Optional[Iterable[Sequence]] = None) -> None:
     """Write a table with a fixed float format so outputs are reproducible.
 
     `table` is either a TabularDataset, written as its columns in order and
-    one line per record, or a header row that `rows` goes under.
+    one line per record, or a header row that `rows` goes under. A float
+    is written as its repr, an integer as its digits, and None as an empty
+    cell.
     """
     if isinstance(table, TabularDataset) == (rows is not None):
         raise TypeError("write_csv takes a dataset, or a header and its rows")
     if isinstance(table, TabularDataset):
         header = table.column_names
-        rows = zip(*(table.factor(c) if table.is_factor(c) else table.numeric(c)
-                     for c in header))
+        columns = [table.factor(c) if table.is_factor(c) else table.numeric(c)
+                   for c in header]
     else:
-        header = table
+        header, columns = table, list(zip(*rows))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(header))
-        for row in rows:
-            writer.writerow([_format_cell(c) for c in row])
+        writer.writerows(zip(*map(_format_column, columns)))
+
+
+def _format_column(col) -> list:
+    """The cells of one column as text: in one pass where every cell is a
+    float, else cell by cell."""
+    if isinstance(col, np.ndarray):
+        col = col.tolist()
+    try:
+        return list(map(float.__repr__, col))
+    except TypeError:  # a cell that is not a float
+        return [_format_cell(c) for c in col]
 
 
 def _format_cell(c) -> str:

@@ -30,6 +30,15 @@ DEFAULT_L = 1e-9
 
 _SUPPORT_TOL = 4.0 * np.finfo(float).eps
 
+# sltb_log_normalizer_arrays' tail skip; its test costs 15-20 us a call.
+# Normalizer us, both tails -> skip (2-core x86, min of 11 x 200 calls), at
+# 20/192/256/384/1,340 rows: hier-linear regime (phi 38, mu 0.05-0.47)
+# 19->36, 58->42, 83->52, 132->65, 436->173; study (phi 10, mu 0.05-0.95)
+# 18->39, 45->75, 65->69, 100->94, 420->336; nonlinear (phi 1-100,
+# mu 0.02-0.98) 18->37, 54->51, 83->80, 100->92, 498->415.
+_SKIP_GAP = 41.0
+_SKIP_MIN_ROWS = 256
+
 
 # ---------------------------------------------------------------------------
 # parameter types
@@ -65,6 +74,20 @@ class BetaMuPhi:
         return self.mu * (1.0 - self.mu) / (1.0 + self.phi)
 
 
+def check_scale_location(s: float, l: float) -> None:
+    """Refuse a scale s or location l whose transformed support does not
+    sit inside the closed unit interval of the base beta: both must be
+    finite, with s > 0, l >= 0 and 1/s + l <= 1."""
+    if not (math.isfinite(s) and s > 0.0):
+        raise DomainError(f"scale s must be finite and positive, got {s}")
+    if not (math.isfinite(l) and l >= 0.0):
+        raise DomainError(f"location l must be finite and nonnegative, got {l}")
+    if 1.0 / s + l > 1.0 + _SUPPORT_TOL:
+        raise DomainError(
+            f"transformed support exceeds the beta support: 1/s + l = "
+            f"{1.0 / s + l} > 1 for s={s}, l={l}")
+
+
 @dataclass(frozen=True)
 class SltbParams:
     """Full parameterization of the SLTB law: (mu, phi) plus scale s and
@@ -87,15 +110,7 @@ class SltbParams:
             raise DomainError(f"mu must lie in (0,1), got {self.mu}")
         if not self.phi > 0.0:
             raise DomainError(f"phi must be positive, got {self.phi}")
-        if not self.s > 0.0:
-            raise DomainError(f"scale must be positive, got {self.s}")
-        if self.l < 0.0:
-            raise DomainError(f"location must be nonnegative, got {self.l}")
-        if 1.0 / self.s + self.l > 1.0 + _SUPPORT_TOL:
-            raise DomainError(
-                f"transformed support exceeds the beta support: 1/s + l = "
-                f"{1.0 / self.s + self.l} > 1 for s={self.s}, l={self.l}"
-            )
+        check_scale_location(self.s, self.l)
 
     def alpha(self) -> float:
         return self.mu * self.phi
@@ -152,17 +167,35 @@ def sltb_log_normalizer_arrays(mu, phi, s, l):
     positive mathematically, but at parameters that put essentially all
     beta mass outside the window (shape parameters near denormal range)
     the excluded tail rounds to 1 and the result underflows to -inf.
+
+    A tail is skipped where it cannot change a bit of the sum. By the
+    leading terms of DLMF 8.17.8, ln(I_eps(b,a) / I_l(a,b)) is
+    gap = b ln eps - a ln l + ln(a/b) (B(a,b) cancels) plus slack terms
+    each at most about phi*max(l, eps) in size. Where max(phi)*max(l, eps)
+    < 1e-3, a tail with |gap| > 41 > ln(4*2**55) + 1 is below a quarter ulp
+    of the other, so the sum rounds to the other exactly. Rows where gap is
+    NaN, and calls of fewer than _SKIP_MIN_ROWS rows (where the test costs
+    more than it saves), keep both tails.
     """
     a = mu * phi
     b = (1.0 - mu) * phi
     eps_hi = (s - 1.0 - l * s) / s  # 1 - (1/s + l), computed stably
-    tail = _sp.betainc(b, a, eps_hi) + _sp.betainc(a, b, l)
+    if np.size(a) >= _SKIP_MIN_ROWS and np.max(phi) * max(l, eps_hi) < 1e-3:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gap = b * np.log(eps_hi) - a * np.log(l) + np.log(a / b)
+        tail = (_sp.betainc(b, a, eps_hi, out=np.zeros(gap.shape),
+                            where=~(gap < -_SKIP_GAP))
+                + _sp.betainc(a, b, l, out=np.zeros(gap.shape),
+                              where=~(gap > _SKIP_GAP)))
+    else:
+        tail = _sp.betainc(b, a, eps_hi) + _sp.betainc(a, b, l)
     with np.errstate(divide="ignore"):
         return np.log1p(-np.minimum(tail, 1.0))
 
 
 def sltb_logpdf_arrays(mu, phi, s, l, g, logs=None):
-    """SLTB log-density, vectorized over any broadcastable mix of args.
+    """SLTB log-density, vectorized over any broadcastable mix of mu, phi
+    and g; s and l are scalars.
 
     No domain checking; callers guarantee g in [0,1] and that g maps to
     the open beta support (true for any l > 0 with 1/s + l < 1).

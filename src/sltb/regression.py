@@ -24,6 +24,7 @@ from .distributions import (
     DEFAULT_L,
     DEFAULT_S,
     beta_logpdf_arrays,
+    check_scale_location,
     log_x_pair,
     sltb_logpdf_arrays,
 )
@@ -267,6 +268,7 @@ def fit_mle(spec: RegressionSpec, data: TabularDataset, family: str = "sltb",
     """
     if family not in _FAMILY_LOGLIK:
         raise ValidationError(f"unknown family '{family}', expected sltb or beta")
+    check_scale_location(s, l)
     X, names = build_design(spec, data)
     y = response_vector(spec, data)
     if family == "beta":

@@ -424,6 +424,9 @@ def test_density_validation(tmp_path, capsys):
 
 # --- malformed input --------------------------------------------------------
 
+_FIT = ["fit", "--data", "@fit-data", "--spec", "@fit-spec"]
+
+
 @pytest.mark.parametrize("argv, config, code, message", [
     (["density", "--mu", "0.5", "--phi", "1e-320"], None, EXIT_NUMERICAL,
      "sltb_pdf is nan at grid point g=0.0"),
@@ -445,13 +448,27 @@ def test_density_validation(tmp_path, capsys):
      "config 'delays' must be a list of numbers, got 3"),
     (["hier-nonlinear"], {"nsubj": 3, "models": "sltb"}, EXIT_VALIDATION,
      "config 'models' must be a list of model names, got 'sltb'"),
+    (_FIT + ["--s", "0.5"], None, EXIT_VALIDATION,
+     "1/s + l = 2.000000001 > 1 for s=0.5"),
+    (_FIT + ["--l", "-0.1"], None, EXIT_VALIDATION,
+     "location l must be finite and nonnegative, got -0.1"),
+    (_FIT + ["--s", "nan"], None, EXIT_VALIDATION,
+     "scale s must be finite and positive, got nan"),
+    (_FIT + ["--l", "inf"], None, EXIT_VALIDATION,
+     "location l must be finite and nonnegative, got inf"),
+    (["density", "--mu", "0.5", "--phi", "4", "--s", "inf"], None,
+     EXIT_VALIDATION, "scale s must be finite and positive, got inf"),
 ], ids=["density-tiny-phi", "spec-without-response", "iters-not-int",
         "prior-not-number", "n-not-int", "beta-true-not-list",
         "rounding-not-int", "methods-not-list", "delays-not-list",
-        "models-not-list"])
+        "models-not-list", "fit-s-below-one", "fit-l-negative", "fit-s-nan",
+        "fit-l-inf", "density-s-inf"])
 def test_malformed_input_exits_with_message(argv, config, code, message,
-                                            alcohol_csv, tmp_path, capsys):
-    argv = [str(alcohol_csv) if a == "@alc" else a for a in argv]
+                                            alcohol_csv, fit_files, tmp_path,
+                                            capsys):
+    inputs = {"@alc": alcohol_csv, "@fit-data": fit_files / "data.csv",
+              "@fit-spec": fit_files / "spec.json"}
+    argv = [str(inputs.get(a, a)) for a in argv]
     if config is not None:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))

@@ -14,6 +14,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.stats as st
+import scipy.special as sp
 from hypothesis import given
 from hypothesis import strategies as hs
 
@@ -110,6 +111,10 @@ def test_sltb_params_defaults_and_validation():
         SltbParams(0.5, 4.0, s=0.5, l=0.0)
     with pytest.raises(DomainError):
         SltbParams(0.5, 4.0, l=-1e-9)
+    for s, l in [(math.inf, DEFAULT_L), (math.nan, DEFAULT_L),
+                 (DEFAULT_S, math.nan), (DEFAULT_S, math.inf)]:
+        with pytest.raises(DomainError, match="scale s|location l"):
+            SltbParams(0.5, 4.0, s=s, l=l)
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +228,118 @@ def test_normalizer_heavy_truncation_small_shapes():
     want = float(mp_normalizer(p.mu, p.phi, p.s, p.l))
     assert got == pytest.approx(want, rel=1e-11)
     assert got < 0.99  # truncation genuinely matters here
+
+
+# ---------------------------------------------------------------------------
+# negligible-tail skip: bit for bit the two-tail normalizer
+# ---------------------------------------------------------------------------
+
+def two_tail_log_normalizer(mu, phi, s, l):
+    """The log-normalizer with both beta tails evaluated on every row: the
+    reference that the tail skip must reproduce bit for bit."""
+    a, b = mu * phi, (1.0 - mu) * phi
+    eps_hi = (s - 1.0 - l * s) / s
+    tail = sp.betainc(b, a, eps_hi) + sp.betainc(a, b, l)
+    with np.errstate(divide="ignore"):
+        return np.log1p(-np.minimum(tail, 1.0))
+
+
+class BetaincSpy:
+    """Stands in for scipy.special in `distributions`, counting the beta
+    tails that `betainc` evaluates (the rows its `where` mask selects)."""
+
+    def __init__(self):
+        self.evaluated = 0
+
+    def __getattr__(self, name):
+        return getattr(sp, name)
+
+    def betainc(self, a, b, x, **kw):
+        out = sp.betainc(a, b, x, **kw)
+        self.evaluated += int(np.count_nonzero(kw.get("where", np.ones(np.shape(out)))))
+        return out
+
+
+def _assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    same = (got == want) | (np.isnan(got) & np.isnan(want))
+    assert same.all(), f"{np.count_nonzero(~same)} of {same.size} values differ"
+
+
+def _check_against_two_tails(monkeypatch, mu, phi, s, l, g):
+    """Normalizer and log-density equal the two-tail form bit for bit;
+    returns whether the normalizer skipped any tail."""
+    with monkeypatch.context() as m:
+        m.setattr(dist, "sltb_log_normalizer_arrays", two_tail_log_normalizer)
+        with np.errstate(all="ignore"):
+            want_logpdf = dist.sltb_logpdf_arrays(mu, phi, s, l, g)
+    spy = BetaincSpy()
+    monkeypatch.setattr(dist, "_sp", spy)
+    with np.errstate(all="ignore"):
+        got = dist.sltb_log_normalizer_arrays(mu, phi, s, l)
+        evaluated = spy.evaluated
+        _assert_same_bits(got, two_tail_log_normalizer(mu, phi, s, l))
+        _assert_same_bits(dist.sltb_logpdf_arrays(mu, phi, s, l, g), want_logpdf)
+    return evaluated < 2 * np.size(got)
+
+
+def _random_rows(rng, shape):
+    """mu log-uniform on [1e-300, 1/2] or 1 - mu on [1e-16, 1/2], with a
+    few NaNs (whose gap is NaN, so both tails must be kept), and g uniform
+    on [0, 1] with exact 0s and 1s."""
+    mu = np.where(rng.random(shape) < 0.5,
+                  10.0 ** rng.uniform(-300.0, -0.3, shape),
+                  1.0 - 10.0 ** rng.uniform(-16.0, -0.3, shape))
+    mu[rng.random(shape) < 0.01] = np.nan
+    g = rng.random(shape)
+    g[rng.random(shape) < 0.05] = 0.0
+    g[rng.random(shape) < 0.05] = 1.0
+    return mu, g
+
+
+_WINDOWS = {"default": (DEFAULT_S, DEFAULT_L), "illustration": (1.08, 0.04),
+            "narrow": (1.0 + 1e-6, 1e-7)}
+
+
+@pytest.mark.parametrize("window, phi_log10, skips", [
+    # max(phi)*max(l, eps) < 1e-3: the skip is valid and taken
+    ("default", (-3.0, 5.0), True),
+    ("default", (-320.0, -3.0), True),
+    ("illustration", (-320.0, -3.0), True),
+    ("narrow", (-320.0, -3.0), True),
+    # phi too large for the window: both tails on every row
+    ("default", (-320.0, 22.0), False),
+    ("illustration", (-3.0, 5.0), False),
+    ("narrow", (-3.0, 5.0), False),
+], ids=["default-moderate", "default-tiny", "illustration-tiny", "narrow-tiny",
+        "default-wide", "illustration-moderate", "narrow-moderate"])
+def test_tail_skip_is_bit_identical_to_two_tails(window, phi_log10, skips,
+                                                 monkeypatch):
+    s, l = _WINDOWS[window]
+    rng = np.random.default_rng(41)
+    mu, g = _random_rows(rng, 20000)
+    phi = 10.0 ** rng.uniform(*phi_log10, 20000)
+    assert _check_against_two_tails(monkeypatch, mu, phi, s, l, g) == skips
+
+
+@pytest.mark.parametrize("mu_shape, phi_shape, skips", [
+    ((dist._SKIP_MIN_ROWS - 1,), (dist._SKIP_MIN_ROWS - 1,), False),
+    ((dist._SKIP_MIN_ROWS,), (dist._SKIP_MIN_ROWS,), True),
+    ((1340,), (), True),  # one phi for every row, as a coefficient proposal
+    ((100, 6), (100, 1), True),  # subjects by delays, as the nonlinear sampler
+    ((), (), False),
+], ids=["below-row-gate", "at-row-gate", "scalar-phi", "broadcast", "scalar"])
+def test_tail_skip_row_gate_and_shapes(mu_shape, phi_shape, skips, monkeypatch):
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        mu, g = _random_rows(rng, mu_shape)
+        phi = 10.0 ** rng.uniform(-3.0, 5.0, phi_shape)
+        if mu_shape == ():
+            mu, phi = float(mu), float(phi)
+        taken = _check_against_two_tails(monkeypatch, mu, phi, DEFAULT_S,
+                                         DEFAULT_L, g)
+        assert taken == skips
 
 
 # ---------------------------------------------------------------------------
