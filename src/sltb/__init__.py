@@ -13,13 +13,11 @@ from .bayes_hier_linear import (
     ChainState,
     HierChainResult,
     HierLinearModel,
-    PosteriorSummary,
     Tuning,
     build_hier_model,
     gen_alcohol_fixture,
     hier_linear_loglik,
     initial_state,
-    mh_step,
     posterior_predictive_mse,
     run_chain,
 )
@@ -47,6 +45,7 @@ from .bayes_hier_nonlinear import (
     sample_inverse_gamma,
     sltb_hier_sample,
 )
+from .chain import PosteriorSummary
 from .data import TabularDataset, read_csv, write_csv
 from .distributions import (
     DEFAULT_L,
@@ -71,14 +70,7 @@ from .errors import (
     SltbError,
     ValidationError,
 )
-from .kernel import (
-    QuadratureRule,
-    Rng,
-    composite_rule,
-    gauss_legendre,
-    integrate,
-    numeric_hessian,
-)
+from .kernel import Rng, numeric_hessian
 from .regression import (
     FitResult,
     RegressionSpec,

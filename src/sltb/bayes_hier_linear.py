@@ -19,6 +19,10 @@ group intercepts' proposals on every row; accepting group intercepts
 takes the proposal's rows where the group moved, with no recompute. The
 response logs are taken once per chain. Every row equals a full
 recompute bit for bit, so the draws do too.
+
+`run_chain` hands its sweep to `chain.run_sweeps`, which keeps the draws
+and counts acceptances; the sweep itself adapts the proposal scales in
+windows of 100 sweeps during burn-in.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 from scipy.special import expit, logit
 
+from .chain import PosteriorSummary, run_sweeps, summarize
 from .data import TabularDataset
 from .distributions import DEFAULT_L, DEFAULT_S, log_x_pair, sltb_logpdf_arrays
 from .errors import NumericalError, ValidationError
@@ -100,9 +105,6 @@ class ChainState:
     u: np.ndarray
     eta: float
     sigma2: float
-    iteration: int = 0
-    accept_counts: Tuple[int, ...] = ()
-    proposal_counts: Tuple[int, ...] = ()
 
     def __post_init__(self):
         beta = np.asarray(self.beta, dtype=float)
@@ -148,31 +150,6 @@ class Tuning:
                       self.u_scales.copy(), self.sigma_scale)
 
 
-def block_names(model: HierLinearModel) -> Tuple[str, ...]:
-    return (*model.coef_names, "eta",
-            *(f"u_{lab}" for lab in model.group_labels), "sigma")
-
-
-@dataclass(frozen=True)
-class PosteriorSummary:
-    names: Tuple[str, ...]
-    mean: np.ndarray
-    q1: np.ndarray
-    median: np.ndarray
-    q3: np.ndarray
-    q025: np.ndarray
-    q975: np.ndarray
-    acceptance_rates: Dict[str, float]
-    n_draws: int
-    warnings: Tuple[str, ...]
-
-    def row(self, name: str) -> Dict[str, float]:
-        k = self.names.index(name)
-        return {"mean": float(self.mean[k]), "q1": float(self.q1[k]),
-                "median": float(self.median[k]), "q3": float(self.q3[k]),
-                "q025": float(self.q025[k]), "q975": float(self.q975[k])}
-
-
 @dataclass(frozen=True)
 class HierChainResult:
     summary: PosteriorSummary
@@ -203,13 +180,22 @@ def _safe_rows(lp: np.ndarray, eta: float, y: np.ndarray,
     return out
 
 
-def hier_linear_loglik(state: ChainState, model: HierLinearModel,
-                       data: np.ndarray) -> float:
-    """Total response log-likelihood at the given state."""
+def _response(model: HierLinearModel, data: np.ndarray) -> np.ndarray:
     y = np.asarray(data, dtype=float)
     if y.shape != (model.n_rows,):
         raise ValidationError(
             f"response length {y.size} does not match design rows {model.n_rows}")
+    return y
+
+
+def hier_linear_loglik(state: ChainState, model: HierLinearModel,
+                       data: np.ndarray) -> float:
+    """Total response log-likelihood at the given state."""
+    y = _response(model, data)
+    if state.beta.shape != (model.n_coefs,) \
+            or state.u.shape != (model.n_groups,):
+        raise ValidationError(
+            "state needs one beta per coefficient and one u per group")
     if model.n_rows == 0:
         return 0.0
     lp = model.X @ state.beta + state.u[model.group_index]
@@ -230,7 +216,7 @@ class _Work:
     """
 
     def __init__(self, state: ChainState, model: HierLinearModel,
-                 y: np.ndarray, n_blocks: int):
+                 y: np.ndarray):
         self.beta = state.beta.copy()
         self.u = state.u.copy()
         self.eta = float(state.eta)
@@ -248,26 +234,23 @@ class _Work:
         self.rows = _safe_rows(self.lp, self.eta, y, self.logs,
                                model.s, model.l)
         self.ll = float(self.rows.sum()) if y.size else 0.0
-        self.acc = np.zeros(n_blocks, dtype=int)
-        self.prop = np.zeros(n_blocks, dtype=int)
 
 
 def _sweep(w: _Work, model: HierLinearModel, y: np.ndarray,
-           rng: Rng, tuning: Tuning) -> None:
+           rng: Rng, tuning: Tuning) -> np.ndarray:
+    """One proposal per block; returns each block's accepted count in the
+    order coefficients, eta, group intercepts, sigma."""
     k = model.n_coefs
     m = model.n_groups
     vp = model.prior_variance
     s, l = model.s, model.l
     gi = model.group_index
-    b_eta = k
-    b_u0 = k + 1
-    b_sig = k + 1 + m
+    acc = np.zeros(k + m + 2, dtype=int)
 
     if k:
         z = np.asarray(rng.normal(0.0, 1.0, k)) * tuning.beta_scales
         lu = np.log(np.asarray(rng.uniform(size=k)))
         for j in range(k):
-            w.prop[j] += 1
             bj = w.beta[j]
             bj_new = bj + z[j]
             lp_new = w.lp + model.X[:, j] * z[j]
@@ -278,25 +261,23 @@ def _sweep(w: _Work, model: HierLinearModel, y: np.ndarray,
             ll_new = float(rows_new.sum()) if y.size else 0.0
             delta = (ll_new - w.ll) + (bj * bj - bj_new * bj_new) / (2.0 * vp)
             if lu[j] < delta:
-                w.acc[j] += 1
+                acc[j] = 1
                 w.beta[j] = bj_new
                 w.lp = lp_new
                 w.rows = rows_new
                 w.ll = ll_new
 
-    w.prop[b_eta] += 1
     eta_new = w.eta + float(rng.normal(0.0, 1.0)) * tuning.eta_scale
     rows_new = _safe_rows(w.lp, eta_new, y, w.logs, s, l)
     ll_new = float(rows_new.sum()) if y.size else 0.0
     delta = (ll_new - w.ll) + (w.eta ** 2 - eta_new ** 2) / (2.0 * vp)
     if np.log(float(rng.uniform())) < delta:
-        w.acc[b_eta] += 1
+        acc[k] = 1
         w.eta = eta_new
         w.rows = rows_new
         w.ll = ll_new
 
     if m:
-        w.prop[b_u0:b_u0 + m] += 1
         z = np.asarray(rng.normal(0.0, 1.0, m)) * tuning.u_scales
         u_new = w.u + z
         prior_delta = (w.u ** 2 - u_new ** 2) / (2.0 * w.sigma2)
@@ -311,7 +292,7 @@ def _sweep(w: _Work, model: HierLinearModel, y: np.ndarray,
         else:
             delta = prior_delta
         accept = np.log(np.asarray(rng.uniform(size=m))) < delta
-        w.acc[b_u0:b_u0 + m] += accept.astype(int)
+        acc[k + 1:k + 1 + m] = accept
         if accept.any():
             w.u[accept] = u_new[accept]
             if y.size:
@@ -320,7 +301,6 @@ def _sweep(w: _Work, model: HierLinearModel, y: np.ndarray,
                 w.rows = np.where(moved, rows_new, w.rows)
                 w.ll = float(w.rows.sum())
 
-    w.prop[b_sig] += 1
     log_sig = 0.5 * np.log(w.sigma2)
     log_sig_new = log_sig + float(rng.normal(0.0, 1.0)) * tuning.sigma_scale
     sig_new = np.exp(log_sig_new)
@@ -331,29 +311,9 @@ def _sweep(w: _Work, model: HierLinearModel, y: np.ndarray,
             - (-0.5 * m * np.log(w.sigma2) - usq / (2.0 * w.sigma2)) \
             + (log_sig_new - log_sig)
         if np.log(float(rng.uniform())) < delta:
-            w.acc[b_sig] += 1
+            acc[-1] = 1
             w.sigma2 = float(sig2_new)
-
-
-def mh_step(state: ChainState, model: HierLinearModel, data: np.ndarray,
-            rng: Rng, tuning: Tuning) -> ChainState:
-    """One full sweep over every block; counters accumulate across steps."""
-    y = np.asarray(data, dtype=float)
-    if y.shape != (model.n_rows,):
-        raise ValidationError(
-            f"response length {y.size} does not match design rows {model.n_rows}")
-    if not np.sqrt(state.sigma2) < model.sigma_upper:
-        raise ValidationError("state sigma is outside the prior support")
-    names = block_names(model)
-    w = _Work(state, model, y, len(names))
-    _sweep(w, model, y, rng, tuning)
-    prev_acc = state.accept_counts or (0,) * len(names)
-    prev_prop = state.proposal_counts or (0,) * len(names)
-    return ChainState(
-        beta=w.beta, u=w.u, eta=w.eta, sigma2=w.sigma2,
-        iteration=state.iteration + 1,
-        accept_counts=tuple(int(a) + p for a, p in zip(w.acc, prev_acc)),
-        proposal_counts=tuple(int(a) + p for a, p in zip(w.prop, prev_prop)))
+    return acc
 
 
 def initial_state(model: HierLinearModel, data: np.ndarray) -> ChainState:
@@ -383,73 +343,43 @@ def run_chain(model: HierLinearModel, data: np.ndarray, iters: int = 20000,
     Draw columns are the fixed effects, eta, sigma2, then the group
     intercepts; summaries cover every column.
     """
-    y = np.asarray(data, dtype=float)
-    if iters <= burnin:
-        raise ValidationError("iters must exceed burnin")
-    if burnin < 0 or thin < 1:
-        raise ValidationError("burnin must be >= 0 and thin >= 1")
-    if y.shape != (model.n_rows,):
-        raise ValidationError(
-            f"response length {y.size} does not match design rows {model.n_rows}")
+    y = _response(model, data)
     tun = (tuning or Tuning.default(model)).copy()
     if tun.beta_scales.shape != (model.n_coefs,) \
             or tun.u_scales.shape != (model.n_groups,):
         raise ValidationError("tuning block shapes do not match the model")
-    state = init if init is not None else initial_state(model, data)
-    if model.n_rows:
-        hier_linear_loglik(state, model, y)  # fail fast on a bad start
+    state = init if init is not None else initial_state(model, y)
+    if not np.sqrt(state.sigma2) < model.sigma_upper:
+        raise ValidationError("init sigma is outside the prior support")
+    hier_linear_loglik(state, model, y)  # fail fast on a bad start
     rng = Rng(seed)
-
-    names = block_names(model)
-    nb = len(names)
-    w = _Work(state, model, y, nb)
-    win_acc = np.zeros(nb, dtype=int)
-    win_prop = np.zeros(nb, dtype=int)
-    post_acc = np.zeros(nb, dtype=int)
-    post_prop = np.zeros(nb, dtype=int)
-
+    w = _Work(state, model, y)
     k, m = model.n_coefs, model.n_groups
-    cols = (*model.coef_names, "eta", "sigma2",
-            *(f"u_{lab}" for lab in model.group_labels))
-    kept = []
-    for it in range(1, iters + 1):
-        base_acc, base_prop = w.acc.copy(), w.prop.copy()
-        _sweep(w, model, y, rng, tun)
+    window = np.zeros(k + m + 2, dtype=int)
+
+    def sweep(it):
+        acc = _sweep(w, model, y, rng, tun)
         if it <= burnin:
-            win_acc += w.acc - base_acc
-            win_prop += w.prop - base_prop
+            window[:] += acc
             if it % _ADAPT_WINDOW == 0:
-                with np.errstate(invalid="ignore"):
-                    rates = win_acc / np.maximum(win_prop, 1)
+                rates = window / _ADAPT_WINDOW
                 factor = np.where(rates < _ADAPT_LOW, _ADAPT_SHRINK,
                                   np.where(rates > _ADAPT_HIGH, _ADAPT_GROW, 1.0))
                 tun.beta_scales *= factor[:k]
                 tun.eta_scale *= factor[k]
                 tun.u_scales *= factor[k + 1:k + 1 + m]
                 tun.sigma_scale *= factor[k + 1 + m]
-                win_acc[:] = 0
-                win_prop[:] = 0
-        else:
-            post_acc += w.acc - base_acc
-            post_prop += w.prop - base_prop
-            if (it - burnin) % thin == 0:
-                kept.append(np.concatenate(
-                    [w.beta, [w.eta, w.sigma2], w.u]))
+                window[:] = 0
+        return acc
 
-    draws = np.asarray(kept)
-    rates = {name: float(a / p) if p else float("nan")
-             for name, a, p in zip(names, post_acc, post_prop)}
-    warns = tuple(
-        f"block {name}: post-burn-in acceptance rate {r:.3f} outside [0.05, 0.95]"
-        for name, r in rates.items()
-        if np.isfinite(r) and not 0.05 <= r <= 0.95)
-    q = np.quantile(draws, [0.25, 0.5, 0.75, 0.025, 0.975], axis=0)
-    summary = PosteriorSummary(
-        names=cols, mean=draws.mean(axis=0), q1=q[0], median=q[1], q3=q[2],
-        q025=q[3], q975=q[4], acceptance_rates=rates, n_draws=len(kept),
-        warnings=warns)
-    return HierChainResult(summary=summary, columns=cols, draws=draws,
-                           tuning=tun)
+    us = tuple(f"u_{lab}" for lab in model.group_labels)
+    draws, rates = run_sweeps(
+        iters, burnin, thin, sweep,
+        lambda: np.concatenate([w.beta, [w.eta, w.sigma2], w.u]),
+        dict.fromkeys((*model.coef_names, "eta", *us, "sigma"), 1))
+    cols = (*model.coef_names, "eta", "sigma2", *us)
+    return HierChainResult(summary=summarize(cols, draws, rates),
+                           columns=cols, draws=draws, tuning=tun)
 
 
 def build_hier_model(data: TabularDataset, spec: RegressionSpec = HIER_SPEC,
@@ -478,10 +408,7 @@ def build_hier_model(data: TabularDataset, spec: RegressionSpec = HIER_SPEC,
 def posterior_predictive_mse(result: HierChainResult, model: HierLinearModel,
                              data: np.ndarray, batch: int = 500) -> float:
     """Mean squared error of the draw-averaged predictive mean."""
-    y = np.asarray(data, dtype=float)
-    if y.shape != (model.n_rows,):
-        raise ValidationError(
-            f"response length {y.size} does not match design rows {model.n_rows}")
+    y = _response(model, data)
     if model.n_rows == 0:
         raise ValidationError("no rows to score")
     k, m = model.n_coefs, model.n_groups

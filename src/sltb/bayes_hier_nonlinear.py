@@ -5,7 +5,9 @@ as the conventional baseline.
 
 The group layers are conjugate (normal mean, inverse-gamma variance), so
 they move by exact Gibbs draws; the subject-level parameters move by
-random-walk proposals whose variance is half the current group variance.
+`chain.rw_update`, a random-walk proposal per subject whose variance is
+half the current group variance. Each sampler is its sweep over these
+blocks plus one call to `chain.run_sweeps`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy.special import expit
 
-from .bayes_hier_linear import PosteriorSummary
+from .chain import PosteriorSummary, run_sweeps, rw_update, summarize
 from .data import TabularDataset
 from .distributions import DEFAULT_L, DEFAULT_S, log_x_pair, sltb_logpdf_arrays
 from .errors import NumericalError, ValidationError
@@ -277,18 +279,8 @@ def mh_update_psi_sltb(rng: Rng, psi: np.ndarray, ln_phi: np.ndarray,
     proposal variance is half the group variance. `logs` is passed on to
     `sltb_subject_logliks`.
     """
-    if cur_lik is None:
-        cur_lik = sltb_subject_logliks(psi, ln_phi, data, s, l, logs=logs)
-    step = np.asarray(rng.normal(0.0, 1.0, len(psi))) * np.sqrt(0.5 * sigma2_psi)
-    prop = psi + step
-    new_lik = sltb_subject_logliks(prop, ln_phi, data, s, l, logs=logs)
-    log_r = (new_lik - cur_lik
-             + ((psi - mu_psi) ** 2 - (prop - mu_psi) ** 2) / (2.0 * sigma2_psi))
-    with np.errstate(invalid="ignore"):
-        accept = np.log(np.asarray(rng.uniform(size=len(psi)))) < log_r
-    out = np.where(accept, prop, psi)
-    lik = np.where(accept, new_lik, cur_lik)
-    return out, lik, accept
+    return rw_update(rng, psi, mu_psi, sigma2_psi, cur_lik, lambda p:
+                     sltb_subject_logliks(p, ln_phi, data, s, l, logs=logs))
 
 
 def mh_update_lnphi_sltb(rng: Rng, psi: np.ndarray, ln_phi: np.ndarray,
@@ -298,19 +290,8 @@ def mh_update_lnphi_sltb(rng: Rng, psi: np.ndarray, ln_phi: np.ndarray,
                          logs: Optional[Tuple[np.ndarray, np.ndarray]] = None
                          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mirror sweep for the per-subject log-precisions."""
-    if cur_lik is None:
-        cur_lik = sltb_subject_logliks(psi, ln_phi, data, s, l, logs=logs)
-    step = np.asarray(rng.normal(0.0, 1.0, len(ln_phi))) * np.sqrt(0.5 * sigma2_phi)
-    prop = ln_phi + step
-    new_lik = sltb_subject_logliks(psi, prop, data, s, l, logs=logs)
-    log_r = (new_lik - cur_lik
-             + ((ln_phi - mu_phi) ** 2 - (prop - mu_phi) ** 2)
-             / (2.0 * sigma2_phi))
-    with np.errstate(invalid="ignore"):
-        accept = np.log(np.asarray(rng.uniform(size=len(ln_phi)))) < log_r
-    out = np.where(accept, prop, ln_phi)
-    lik = np.where(accept, new_lik, cur_lik)
-    return out, lik, accept
+    return rw_update(rng, ln_phi, mu_phi, sigma2_phi, cur_lik, lambda p:
+                     sltb_subject_logliks(psi, p, data, s, l, logs=logs))
 
 
 def mh_update_psi_normal(rng: Rng, psi: np.ndarray, sigma2: float,
@@ -318,17 +299,8 @@ def mh_update_psi_normal(rng: Rng, psi: np.ndarray, sigma2: float,
                          cur_lik: Optional[np.ndarray] = None
                          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Subject sweep under the normal residual likelihood."""
-    if cur_lik is None:
-        cur_lik = normal_subject_logliks(psi, sigma2, data)
-    step = np.asarray(rng.normal(0.0, 1.0, len(psi))) * np.sqrt(0.5 * sigma2_psi)
-    prop = psi + step
-    new_lik = normal_subject_logliks(prop, sigma2, data)
-    log_r = (new_lik - cur_lik
-             + ((psi - mu_psi) ** 2 - (prop - mu_psi) ** 2) / (2.0 * sigma2_psi))
-    accept = np.log(np.asarray(rng.uniform(size=len(psi)))) < log_r
-    out = np.where(accept, prop, psi)
-    lik = np.where(accept, new_lik, cur_lik)
-    return out, lik, accept
+    return rw_update(rng, psi, mu_psi, sigma2_psi, cur_lik,
+                     lambda p: normal_subject_logliks(p, sigma2, data))
 
 
 # ---------------------------------------------------------------------------
@@ -491,19 +463,10 @@ class NonlinearResult:
     draws: np.ndarray = field(repr=False)
 
 
-def _summarize(cols, draws, rates, grid_started, warn_low=0.05, warn_high=0.95):
-    q = np.quantile(draws, [0.25, 0.5, 0.75, 0.025, 0.975], axis=0)
-    warns = tuple(
-        f"block {name}: acceptance rate {r:.3f} outside [{warn_low}, {warn_high}]"
-        for name, r in rates.items() if not warn_low <= r <= warn_high)
-    if grid_started:
-        warns = (f"start fit fell back to the psi grid for "
-                 f"{len(grid_started)} subject(s): "
-                 f"{', '.join(grid_started)}",) + warns
-    return PosteriorSummary(
-        names=cols, mean=draws.mean(axis=0), q1=q[0], median=q[1], q3=q[2],
-        q025=q[3], q975=q[4], acceptance_rates=rates, n_draws=draws.shape[0],
-        warnings=warns)
+def _start_notes(start: NonlinearChainState) -> Tuple[str, ...]:
+    ids = start.grid_started
+    return (f"start fit fell back to the psi grid for {len(ids)} subject(s): "
+            f"{', '.join(ids)}",) if ids else ()
 
 
 def sltb_hier_sample(data: DiscountData, priors: HyperPriors = HYPER,
@@ -512,52 +475,43 @@ def sltb_hier_sample(data: DiscountData, priors: HyperPriors = HYPER,
                      l: float = DEFAULT_L) -> NonlinearResult:
     """Six-block sweep: Gibbs on the two group layers, random-walk MH on
     the subject layers, with the boundary-tolerant response likelihood."""
-    if iters <= burnin:
-        raise ValidationError("iters must exceed burnin")
-    if burnin < 0 or thin < 1:
-        raise ValidationError("burnin must be >= 0 and thin >= 1")
     rng = Rng(seed)
-    state = initialize_chain(data, rng, s, l)
-    psi, ln_phi = state.psi.copy(), state.ln_phi.copy()
-    mu_psi, sigma2_psi = state.mu_psi, state.sigma2_psi
-    mu_phi, sigma2_phi = state.mu_phi, state.sigma2_phi
-    n = data.n_subjects
-
+    start = initialize_chain(data, rng, s, l)
+    psi, ln_phi = start.psi, start.ln_phi
+    mu_psi, sigma2_psi = start.mu_psi, start.sigma2_psi
+    mu_phi, sigma2_phi = start.mu_phi, start.sigma2_phi
     logs = log_x_pair(data.y, s, l)[2:]
     lik = sltb_subject_logliks(psi, ln_phi, data, s, l, logs=logs)
     if not np.all(np.isfinite(lik)):
         bad = data.subject_ids[int(np.argmin(np.isfinite(lik)))]
         raise NumericalError(
             f"non-finite starting log-likelihood for subject {bad}")
-    cols = ("mu_psi", "sigma2_psi", "mu_phi", "sigma2_phi",
-            *(f"psi_{sid}" for sid in data.subject_ids),
-            *(f"ln_phi_{sid}" for sid in data.subject_ids))
-    kept = []
-    acc_psi = acc_phi = prop = 0
-    for it in range(1, iters + 1):
-        mu_psi = gibbs_mu(rng, psi, sigma2_psi, priors.mu_psi0,
-                          priors.lam2_psi0)
+
+    def sweep(it):
+        nonlocal psi, ln_phi, mu_psi, sigma2_psi, mu_phi, sigma2_phi, lik
+        mu_psi = gibbs_mu(rng, psi, sigma2_psi, priors.mu_psi0, priors.lam2_psi0)
         sigma2_psi = gibbs_sigma2(rng, psi, mu_psi, priors.a1, priors.b1)
         psi, lik, a1 = mh_update_psi_sltb(
             rng, psi, ln_phi, data, mu_psi, sigma2_psi, s, l, cur_lik=lik,
             logs=logs)
-        mu_phi = gibbs_mu(rng, ln_phi, sigma2_phi, priors.mu_phi0,
-                          priors.lam2_phi0)
+        mu_phi = gibbs_mu(rng, ln_phi, sigma2_phi, priors.mu_phi0, priors.lam2_phi0)
         sigma2_phi = gibbs_sigma2(rng, ln_phi, mu_phi, priors.a2, priors.b2)
         ln_phi, lik, a2 = mh_update_lnphi_sltb(
             rng, psi, ln_phi, data, mu_phi, sigma2_phi, s, l, cur_lik=lik,
             logs=logs)
-        if it > burnin:
-            acc_psi += int(a1.sum())
-            acc_phi += int(a2.sum())
-            prop += n
-            if (it - burnin) % thin == 0:
-                kept.append(np.concatenate(
-                    [[mu_psi, sigma2_psi, mu_phi, sigma2_phi], psi, ln_phi]))
-    draws = np.asarray(kept)
-    rates = {"psi": acc_psi / prop, "ln_phi": acc_phi / prop}
-    summary = _summarize(cols, draws, rates, state.grid_started)
-    return NonlinearResult(summary=summary, columns=cols, draws=draws)
+        return np.count_nonzero(a1), np.count_nonzero(a2)
+
+    n = data.n_subjects
+    draws, rates = run_sweeps(
+        iters, burnin, thin, sweep, lambda: np.concatenate(
+            [[mu_psi, sigma2_psi, mu_phi, sigma2_phi], psi, ln_phi]),
+        {"psi": n, "ln_phi": n})
+    cols = ("mu_psi", "sigma2_psi", "mu_phi", "sigma2_phi",
+            *(f"psi_{sid}" for sid in data.subject_ids),
+            *(f"ln_phi_{sid}" for sid in data.subject_ids))
+    return NonlinearResult(
+        summary=summarize(cols, draws, rates, _start_notes(start)),
+        columns=cols, draws=draws)
 
 
 def normal_hier_sample(data: DiscountData, priors: HyperPriors = HYPER,
@@ -565,40 +519,33 @@ def normal_hier_sample(data: DiscountData, priors: HyperPriors = HYPER,
                        thin: int = 5) -> NonlinearResult:
     """Baseline with the same psi hierarchy but normal residuals; the
     residual variance has its own inverse-gamma Gibbs step."""
-    if iters <= burnin:
-        raise ValidationError("iters must exceed burnin")
-    if burnin < 0 or thin < 1:
-        raise ValidationError("burnin must be >= 0 and thin >= 1")
     if data.n_delays == 0:
         raise ValidationError("the normal sampler needs observations")
     rng = Rng(seed)
-    state = initialize_chain(data, rng)
-    psi = state.psi.copy()
-    mu_psi, sigma2_psi = state.mu_psi, state.sigma2_psi
-    sigma2 = state.resid_sigma2
-    n, j = data.n_subjects, data.n_delays
+    start = initialize_chain(data, rng)
+    psi = start.psi
+    mu_psi, sigma2_psi = start.mu_psi, start.sigma2_psi
+    sigma2 = start.resid_sigma2
     delays = np.asarray(data.delays)
 
-    cols = ("mu_psi", "sigma2_psi", "sigma2",
-            *(f"psi_{sid}" for sid in data.subject_ids))
-    kept = []
-    acc = prop = 0
-    for it in range(1, iters + 1):
-        mu_psi = gibbs_mu(rng, psi, sigma2_psi, priors.mu_psi0,
-                          priors.lam2_psi0)
+    def sweep(it):
+        nonlocal psi, mu_psi, sigma2_psi, sigma2
+        mu_psi = gibbs_mu(rng, psi, sigma2_psi, priors.mu_psi0, priors.lam2_psi0)
         sigma2_psi = gibbs_sigma2(rng, psi, mu_psi, priors.a1, priors.b1)
         resid = data.y - discount_mean(psi[:, None], delays[None, :])
-        shape, rate = ig_shape_rate(n * j, float((resid ** 2).sum()),
+        shape, rate = ig_shape_rate(data.y.size, float((resid ** 2).sum()),
                                     priors.a2, priors.b2)
         sigma2 = sample_inverse_gamma(rng, shape, rate)
         psi, _, a = mh_update_psi_normal(
             rng, psi, sigma2, data, mu_psi, sigma2_psi)
-        if it > burnin:
-            acc += int(a.sum())
-            prop += n
-            if (it - burnin) % thin == 0:
-                kept.append(np.concatenate([[mu_psi, sigma2_psi, sigma2], psi]))
-    draws = np.asarray(kept)
-    rates = {"psi": acc / prop}
-    summary = _summarize(cols, draws, rates, state.grid_started)
-    return NonlinearResult(summary=summary, columns=cols, draws=draws)
+        return (np.count_nonzero(a),)
+
+    draws, rates = run_sweeps(
+        iters, burnin, thin, sweep,
+        lambda: np.concatenate([[mu_psi, sigma2_psi, sigma2], psi]),
+        {"psi": data.n_subjects})
+    cols = ("mu_psi", "sigma2_psi", "sigma2",
+            *(f"psi_{sid}" for sid in data.subject_ids))
+    return NonlinearResult(
+        summary=summarize(cols, draws, rates, _start_notes(start)),
+        columns=cols, draws=draws)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-import sltb.kernel as kernel
+import quadrature
 
 settings.register_profile(
     "ci",
@@ -32,13 +32,13 @@ def bisect_root(f, lo: float, hi: float, iters: int = 200) -> float:
     return 0.5 * (lo + hi)
 
 
-def unit_graded_rule(order: int = 40) -> kernel.QuadratureRule:
+def unit_graded_rule(order: int = 40) -> quadrature.QuadratureRule:
     """Composite rule on [0,1] with panels graded geometrically toward both
     endpoints, resolving the near-boundary spikes of small-shape densities."""
     tiny = [10.0 ** -k for k in range(2, 13)]
     edges = sorted(set([0.0, 1.0] + tiny + [1.0 - t for t in tiny]
                        + list(np.linspace(0.1, 0.9, 9))))
-    return kernel.composite_rule(edges, order=order)
+    return quadrature.composite_rule(edges, order=order)
 
 
 @pytest.fixture

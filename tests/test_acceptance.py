@@ -29,7 +29,7 @@ import pytest
 
 import ks_checks
 import sltb.distributions as dist
-import sltb.kernel as kernel
+import quadrature
 from conftest import unit_graded_rule
 from sltb import (
     BetaMuPhi,
@@ -194,7 +194,7 @@ def test_distribution_properties_hold_at_tolerance():
     for mu in np.arange(0.1, 0.95, 0.1):
         for phi in (0.5, 2.0, 10.0, 50.0):
             p = SltbParams(float(mu), float(phi))
-            total = kernel.integrate(lambda g: sltb_pdf(p, g), 0.0, 1.0, rule)
+            total = quadrature.integrate(lambda g: sltb_pdf(p, g), 0.0, 1.0, rule)
             assert total == pytest.approx(1.0, abs=1e-8), (mu, phi)
             assert math.isfinite(sltb_logpdf(p, 0.0)), (mu, phi)
             assert math.isfinite(sltb_logpdf(p, 1.0)), (mu, phi)

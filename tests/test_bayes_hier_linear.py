@@ -1,5 +1,7 @@
 """Hierarchical random-intercept sampler: likelihood, blocks, chains."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -11,12 +13,10 @@ from sltb.bayes_hier_linear import (
     ChainState,
     HierLinearModel,
     Tuning,
-    block_names,
     build_hier_model,
     gen_alcohol_fixture,
     hier_linear_loglik,
     initial_state,
-    mh_step,
     posterior_predictive_mse,
     run_chain,
 )
@@ -27,7 +27,7 @@ from sltb.distributions import (
     sltb_logpdf,
     sltb_logpdf_arrays,
 )
-from sltb.errors import ValidationError
+from sltb.errors import NumericalError, ValidationError
 from sltb.kernel import Rng
 
 
@@ -136,40 +136,36 @@ def test_degenerate_scales_accept_and_hold():
     state = initial_state(model, y)
     frozen = Tuning(beta_scales=np.zeros(model.n_coefs), eta_scale=0.0,
                     u_scales=np.zeros(model.n_groups), sigma_scale=0.0)
-    rng = Rng(5)
-    cur = state
-    for _ in range(100):
-        cur = mh_step(cur, model, y, rng, frozen)
-    assert cur.iteration == 100
-    assert np.array_equal(cur.beta, state.beta)
-    assert np.array_equal(cur.u, state.u)
-    assert cur.eta == state.eta and cur.sigma2 == state.sigma2
-    assert cur.accept_counts == cur.proposal_counts  # every proposal accepted
+    res = run_chain(model, y, iters=100, burnin=0, thin=1, seed=5,
+                    tuning=frozen)
+    start = np.concatenate([state.beta, [state.eta, state.sigma2], state.u])
+    assert res.draws.shape == (100, start.size)
+    assert np.all(res.draws == start)
+    # every proposal accepted
+    assert set(res.summary.acceptance_rates.values()) == {1.0}
 
 
-def test_mh_step_counts_every_block():
+def test_run_chain_counts_every_block():
     model = tiny_model()
     y = tiny_y(model)
-    state = initial_state(model, y)
-    rng = Rng(6)
-    out = mh_step(state, model, y, rng, Tuning.default(model))
-    out = mh_step(out, model, y, rng, Tuning.default(model))
-    names = block_names(model)
-    assert len(out.proposal_counts) == len(names)
-    assert all(p == 2 for p in out.proposal_counts)
-    assert all(0 <= a <= 2 for a in out.accept_counts)
+    res = run_chain(model, y, iters=50, burnin=10, thin=1, seed=6)
+    rates = res.summary.acceptance_rates
+    assert tuple(rates) == ("b0", "b1", "eta", "u_g0", "u_g1", "u_g2", "sigma")
+    # one proposal per block in each of the 40 kept sweeps
+    assert all(np.isfinite(r) and float(r * 40).is_integer()
+               for r in rates.values())
 
 
 def test_sigma_stays_inside_prior_support():
     model = tiny_model()
     y = tiny_y(model)
-    cur = initial_state(model, y)
     wild = Tuning(beta_scales=np.full(model.n_coefs, 0.3), eta_scale=0.2,
                   u_scales=np.full(model.n_groups, 0.5), sigma_scale=5.0)
-    rng = Rng(7)
-    for _ in range(300):
-        cur = mh_step(cur, model, y, rng, wild)
-        assert 0.0 < np.sqrt(cur.sigma2) < model.sigma_upper
+    res = run_chain(model, y, iters=300, burnin=0, thin=1, seed=7,
+                    tuning=wild)
+    sigma = np.sqrt(res.draws[:, res.columns.index("sigma2")])
+    assert np.all((sigma > 0.0) & (sigma < model.sigma_upper))
+    assert len(set(sigma)) > 1  # the walk moved
 
 
 # ----------------------------------------------------------------- chains
@@ -232,6 +228,30 @@ def test_chain_validation():
         run_chain(model, np.append(y, 0.5), iters=100, burnin=10)
 
 
+def test_chain_refuses_a_bad_init():
+    model = tiny_model()
+    y = tiny_y(model)
+    start = initial_state(model, y)
+    bad = (ChainState(beta=start.beta, u=start.u, eta=start.eta,
+                      sigma2=30.0 ** 2),  # sigma above sigma_upper = 20
+           ChainState(beta=np.zeros(3), u=start.u, eta=start.eta,
+                      sigma2=start.sigma2),
+           ChainState(beta=start.beta, u=np.zeros(2), eta=start.eta,
+                      sigma2=start.sigma2))
+    for init in bad:
+        with pytest.raises(ValidationError):
+            run_chain(model, y, iters=20, burnin=10, init=init)
+
+
+def test_chain_draws_are_pinned():
+    # digest of the draws as first recorded, on python 3.11.7, numpy 2.4.6
+    # and scipy 1.17.1; a refactor of the chain must keep every bit
+    res = run_chain(*build_hier_model(gen_alcohol_fixture().data), iters=300,
+                    burnin=200, thin=1, seed=1)
+    digest = hashlib.sha256(np.ascontiguousarray(res.draws).tobytes())
+    assert digest.hexdigest()[:16] == "9eb8543114960fc6"
+
+
 # ------------------------------------------- incremental sweep vs oracle
 # The oracle is the full-recompute sweep: every proposal re-evaluates the
 # density on every row, from the response itself, and accepting group
@@ -254,7 +274,7 @@ def _oracle_rows(lp, eta, y, s, l):
 
 
 class _OracleWork:
-    def __init__(self, state, model, y, n_blocks):
+    def __init__(self, state, model, y):
         self.beta = state.beta.copy()
         self.u = state.u.copy()
         self.eta = float(state.eta)
@@ -263,8 +283,6 @@ class _OracleWork:
             self.u[model.group_index] if model.n_rows else np.zeros(0))
         self.rows = _oracle_rows(self.lp, self.eta, y, model.s, model.l)
         self.ll = float(self.rows.sum()) if y.size else 0.0
-        self.acc = np.zeros(n_blocks, dtype=int)
-        self.prop = np.zeros(n_blocks, dtype=int)
 
 
 def _oracle_sweep(w, model, y, rng, tuning):
@@ -272,12 +290,11 @@ def _oracle_sweep(w, model, y, rng, tuning):
     vp = model.prior_variance
     s, l = model.s, model.l
     gi = model.group_index
-    b_eta, b_u0, b_sig = k, k + 1, k + 1 + m
+    acc = np.zeros(k + m + 2, dtype=int)
     if k:
         z = np.asarray(rng.normal(0.0, 1.0, k)) * tuning.beta_scales
         lu = np.log(np.asarray(rng.uniform(size=k)))
         for j in range(k):
-            w.prop[j] += 1
             bj = w.beta[j]
             bj_new = bj + z[j]
             lp_new = w.lp + model.X[:, j] * z[j]
@@ -285,19 +302,17 @@ def _oracle_sweep(w, model, y, rng, tuning):
             ll_new = float(rows_new.sum()) if y.size else 0.0
             delta = (ll_new - w.ll) + (bj * bj - bj_new * bj_new) / (2.0 * vp)
             if lu[j] < delta:
-                w.acc[j] += 1
+                acc[j] = 1
                 w.beta[j] = bj_new
                 w.lp, w.rows, w.ll = lp_new, rows_new, ll_new
-    w.prop[b_eta] += 1
     eta_new = w.eta + float(rng.normal(0.0, 1.0)) * tuning.eta_scale
     rows_new = _oracle_rows(w.lp, eta_new, y, s, l)
     ll_new = float(rows_new.sum()) if y.size else 0.0
     delta = (ll_new - w.ll) + (w.eta ** 2 - eta_new ** 2) / (2.0 * vp)
     if np.log(float(rng.uniform())) < delta:
-        w.acc[b_eta] += 1
+        acc[k] = 1
         w.eta, w.rows, w.ll = eta_new, rows_new, ll_new
     if m:
-        w.prop[b_u0:b_u0 + m] += 1
         z = np.asarray(rng.normal(0.0, 1.0, m)) * tuning.u_scales
         u_new = w.u + z
         prior_delta = (w.u ** 2 - u_new ** 2) / (2.0 * w.sigma2)
@@ -311,14 +326,13 @@ def _oracle_sweep(w, model, y, rng, tuning):
         else:
             delta = prior_delta
         accept = np.log(np.asarray(rng.uniform(size=m))) < delta
-        w.acc[b_u0:b_u0 + m] += accept.astype(int)
+        acc[k + 1:k + 1 + m] = accept
         if accept.any():
             w.u[accept] = u_new[accept]
             if y.size:
                 w.lp = w.lp + np.where(accept[gi], z[gi], 0.0)
                 w.rows = _oracle_rows(w.lp, w.eta, y, s, l)
                 w.ll = float(w.rows.sum())
-    w.prop[b_sig] += 1
     log_sig = 0.5 * np.log(w.sigma2)
     log_sig_new = log_sig + float(rng.normal(0.0, 1.0)) * tuning.sigma_scale
     sig_new = np.exp(log_sig_new)
@@ -329,8 +343,9 @@ def _oracle_sweep(w, model, y, rng, tuning):
             - (-0.5 * m * np.log(w.sigma2) - usq / (2.0 * w.sigma2)) \
             + (log_sig_new - log_sig)
         if np.log(float(rng.uniform())) < delta:
-            w.acc[b_sig] += 1
+            acc[-1] = 1
             w.sigma2 = float(sig2_new)
+    return acc
 
 
 def _edge_case():
@@ -390,12 +405,13 @@ def test_incremental_sweep_is_the_full_recompute(case, monkeypatch):
         assert np.array_equal(getattr(new.tuning, part),
                               getattr(old.tuning, part))
 
+    # a walk of bare sweeps: run_chain refuses the edge case's start,
+    # whose log-likelihood is -inf
     def walk():
-        rng, cur, path = Rng(2), start, []
+        rng, w, path = Rng(2), bhl._Work(start, model, y), []
         for _ in range(50):
-            cur = mh_step(cur, model, y, rng, tuning)
-            path.append(np.concatenate([cur.beta, cur.u, [cur.eta, cur.sigma2],
-                                        cur.accept_counts]))
+            acc = bhl._sweep(w, model, y, rng, tuning)
+            path.append(np.concatenate([w.beta, w.u, [w.eta, w.sigma2], acc]))
         return np.array(path)
 
     new_path, old_path = _both(monkeypatch, walk)
@@ -404,6 +420,8 @@ def test_incremental_sweep_is_the_full_recompute(case, monkeypatch):
         # the walk starts with some mu at exactly 1, leaves that start,
         # and keeps moving the three-row coefficient
         assert (expit(model.X @ start.beta) == 1.0).any()
+        with pytest.raises(NumericalError):
+            run_chain(model, y, iters=50, burnin=0, init=start)
         assert len(set(new_path[:, 2])) > 3
         assert np.isfinite(hier_linear_loglik(
             ChainState(beta=new_path[-1, :5], u=new_path[-1, 5:10],

@@ -1,6 +1,8 @@
 """Delay-discounting hierarchy: curve arithmetic, conditional draws,
 initialization, and both samplers."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import optimize
@@ -433,6 +435,29 @@ def test_normal_sampler_deterministic():
     a = normal_hier_sample(samp.data, iters=240, burnin=40, seed=5, thin=2)
     b = normal_hier_sample(samp.data, iters=240, burnin=40, seed=5, thin=2)
     assert np.array_equal(a.draws, b.draws)
+
+
+# digests of the draws as first recorded, on python 3.11.7, numpy 2.4.6 and
+# scipy 1.17.1; a refactor of the samplers must keep every bit
+@pytest.mark.parametrize("sampler, data, kw, digest", [
+    (sltb_hier_sample, "n30", dict(iters=300, burnin=100, seed=5, thin=2),
+     "c9018736b4f6cb8e"),
+    (normal_hier_sample, "n30", dict(iters=300, burnin=100, seed=5, thin=2),
+     "8465d55df33d310a"),
+    (sltb_hier_sample, "edge", dict(iters=120, burnin=20, seed=1),
+     "d1f18ff68b7c2c72"),
+    (normal_hier_sample, "edge", dict(iters=120, burnin=20, seed=1),
+     "a2634c50249dcc5e"),
+], ids=["sltb", "normal", "sltb-edge", "normal-edge"])
+def test_sampler_draws_are_pinned(sampler, data, kw, digest):
+    data = (_edge_subjects() if data == "edge"
+            else gen_discount_data(nsubj=30, seed=11).data)
+    res = sampler(data, **kw)
+    got = hashlib.sha256(np.ascontiguousarray(res.draws).tobytes())
+    assert got.hexdigest()[:16] == digest
+    if sampler is sltb_hier_sample and data.n_subjects == 30:
+        assert res.summary.acceptance_rates == {
+            "psi": 0.5401666666666667, "ln_phi": 0.6861666666666667}
 
 
 def test_sampler_layout_and_summary():

@@ -18,6 +18,7 @@ import scipy.special as sp
 from hypothesis import given
 from hypothesis import strategies as hs
 
+import quadrature
 import sltb.kernel as kernel
 from sltb import distributions as dist
 from sltb.distributions import (
@@ -139,7 +140,7 @@ def test_beta_logpdf_boundary_failure():
 
 def test_beta_logpdf_integrates_to_one(graded_rule):
     p = BetaMuPhi(0.37, 6.2)
-    total = kernel.integrate(
+    total = quadrature.integrate(
         lambda y: math.exp(beta_logpdf(p, y)) if 0.0 < y < 1.0 else 0.0,
         0.0, 1.0, graded_rule,
     )
@@ -182,8 +183,9 @@ def test_sl_pdf_support_and_integral():
     with pytest.raises(DomainError):
         sl_pdf(p, 1.05)
     lo, hi = -p.l * p.s, (1.0 - p.l) * p.s
-    total = kernel.integrate(lambda z: sl_pdf(p, z), lo, hi,
-                             kernel.composite_rule(np.linspace(lo, hi, 17), order=40))
+    total = quadrature.integrate(
+        lambda z: sl_pdf(p, z), lo, hi,
+        quadrature.composite_rule(np.linspace(lo, hi, 17), order=40))
     assert total == pytest.approx(1.0, abs=1e-10)
 
 
@@ -211,10 +213,10 @@ def test_normalizer_visible_truncation_quadrature_oracle():
     # coarse illustration values make the truncated tails visible
     p = SltbParams(0.5, 4.0, s=1.08, l=0.04)
     lo, hi = -p.l * p.s, (1.0 - p.l) * p.s
-    below = kernel.integrate(lambda z: sl_pdf(p, z), lo, 0.0,
-                             kernel.gauss_legendre(lo, 0.0, order=40))
-    above = kernel.integrate(lambda z: sl_pdf(p, z), 1.0, hi,
-                             kernel.gauss_legendre(1.0, hi, order=40))
+    below = quadrature.integrate(lambda z: sl_pdf(p, z), lo, 0.0,
+                                 quadrature.gauss_legendre(lo, 0.0, order=40))
+    above = quadrature.integrate(lambda z: sl_pdf(p, z), 1.0, hi,
+                                 quadrature.gauss_legendre(1.0, hi, order=40))
     assert normalizer(p) == pytest.approx(1.0 - below - above, abs=1e-12)
     assert normalizer(p) == pytest.approx(
         float(mp_normalizer(p.mu, p.phi, p.s, p.l)), abs=1e-13
@@ -403,7 +405,7 @@ def test_sltb_normalization_on_grid(graded_rule):
     for mu in np.arange(0.1, 0.95, 0.1):
         for phi in [0.5, 2.0, 10.0, 50.0]:
             p = SltbParams(float(mu), float(phi))
-            total = kernel.integrate(lambda g: sltb_pdf(p, g), 0.0, 1.0, graded_rule)
+            total = quadrature.integrate(lambda g: sltb_pdf(p, g), 0.0, 1.0, graded_rule)
             assert total == pytest.approx(1.0, abs=1e-8), (mu, phi)
 
 
@@ -434,9 +436,10 @@ def test_sltb_cdf_endpoints_and_uniform():
 def test_sltb_cdf_matches_quadrature():
     p = SltbParams(0.3, 7.0)
     for g in [0.05, 0.31, 0.8]:
-        mass = kernel.integrate(lambda t: sltb_pdf(p, t), 0.0, g,
-                                kernel.composite_rule(
-                                    [0.0, 1e-9, 1e-6, 1e-3, g / 2, g], order=48))
+        mass = quadrature.integrate(lambda t: sltb_pdf(p, t), 0.0, g,
+                                    quadrature.composite_rule(
+                                        [0.0, 1e-9, 1e-6, 1e-3, g / 2, g],
+                                        order=48))
         assert sltb_cdf(p, g) == pytest.approx(mass, abs=1e-9)
 
 

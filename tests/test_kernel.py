@@ -1,5 +1,6 @@
-"""Numeric kernel contracts (quadrature, Hessian, RNG), and the accuracy of
-the scipy.special functions that the densities and p-values call."""
+"""Numeric kernel contracts (Hessian, RNG), the quadrature oracle in
+``tests/quadrature.py``, and the accuracy of the scipy.special functions
+that the densities and p-values call."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from scipy.special import betainc, betaincinv, gammaln, ndtr
 from hypothesis import given
 from hypothesis import strategies as hs
 
+import quadrature
 from sltb import kernel
 from sltb.errors import DomainError, NumericalError
 
@@ -138,7 +140,7 @@ def test_std_normal_cdf_known_values():
 def test_std_normal_cdf_quadrature_oracle():
     # Phi(1.96) = 1/2 + integral of the density over [0, 1.96]
     density = lambda t: math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
-    want = 0.5 + kernel.integrate(density, 0.0, 1.96)
+    want = 0.5 + quadrature.integrate(density, 0.0, 1.96)
     assert ndtr(1.96) == pytest.approx(want, abs=1e-12)
     mpmath.mp.dps = 40
     assert ndtr(1.96) == pytest.approx(float(mpmath.ncdf(1.96)), abs=1e-14)
@@ -150,44 +152,47 @@ def test_std_normal_cdf_symmetry():
 
 
 # ---------------------------------------------------------------------------
-# quadrature
+# quadrature: the test-only oracle in tests/quadrature.py
 # ---------------------------------------------------------------------------
 
 def test_integrate_constant_and_linear():
-    assert kernel.integrate(lambda t: 1.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-14)
-    assert kernel.integrate(lambda t: t, 0.0, 1.0) == pytest.approx(0.5, abs=1e-14)
+    assert quadrature.integrate(lambda t: 1.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-14)
+    assert quadrature.integrate(lambda t: t, 0.0, 1.0) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_integrate_doubling_nodes_stable():
     f = lambda t: math.exp(-t) * math.sin(3.0 * t)
-    base = kernel.integrate(f, 0.0, 2.0, kernel.composite_rule([0.0, 1.0, 2.0], order=24))
-    fine = kernel.integrate(f, 0.0, 2.0, kernel.composite_rule([0.0, 1.0, 2.0], order=48))
+    panels = [0.0, 1.0, 2.0]
+    base = quadrature.integrate(f, 0.0, 2.0,
+                                quadrature.composite_rule(panels, order=24))
+    fine = quadrature.integrate(f, 0.0, 2.0,
+                                quadrature.composite_rule(panels, order=48))
     assert abs(base - fine) < 1e-9
 
 
 def test_integrate_bounds():
-    assert kernel.integrate(lambda t: t, 1.0, 1.0) == 0.0
+    assert quadrature.integrate(lambda t: t, 1.0, 1.0) == 0.0
     with pytest.raises(DomainError):
-        kernel.integrate(lambda t: t, 2.0, 1.0)
+        quadrature.integrate(lambda t: t, 2.0, 1.0)
 
 
 def test_integrate_nonfinite_integrand():
     with pytest.raises(NumericalError):
-        kernel.integrate(lambda t: float("nan"), 0.0, 1.0)
+        quadrature.integrate(lambda t: float("nan"), 0.0, 1.0)
 
 
 def test_quadrature_rule_validation():
     with pytest.raises(DomainError):
-        kernel.QuadratureRule(np.array([0.5, 0.2]), np.array([0.1, 0.1]))
+        quadrature.QuadratureRule(np.array([0.5, 0.2]), np.array([0.1, 0.1]))
     with pytest.raises(DomainError):
-        kernel.QuadratureRule(np.array([0.2, 0.5]), np.array([0.1, -0.1]))
+        quadrature.QuadratureRule(np.array([0.2, 0.5]), np.array([0.1, -0.1]))
 
 
 def test_quadrature_weights_sum_to_length():
-    rule = kernel.gauss_legendre(-1.5, 2.5, order=16)
+    rule = quadrature.gauss_legendre(-1.5, 2.5, order=16)
     assert rule.weights.sum() == pytest.approx(4.0, rel=1e-14)
     assert np.all(rule.weights > 0)
-    comp = kernel.composite_rule([0.0, 0.1, 0.9, 1.0], order=8)
+    comp = quadrature.composite_rule([0.0, 0.1, 0.9, 1.0], order=8)
     assert comp.weights.sum() == pytest.approx(1.0, rel=1e-14)
 
 
