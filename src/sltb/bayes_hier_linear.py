@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy.special import expit, logit
+from scipy.special import expit
 
 from .chain import PosteriorSummary, run_sweeps, summarize
 from .data import TabularDataset
@@ -43,6 +43,7 @@ from .regression import (
     RegressionSpec,
     build_design,
     response_vector,
+    warm_start,
 )
 
 # study design: medDays slope, gender and grade dummies, grade-gender interactions
@@ -318,13 +319,10 @@ def _sweep(w: _Work, model: HierLinearModel, y: np.ndarray,
 
 def initial_state(model: HierLinearModel, data: np.ndarray) -> ChainState:
     """Least-squares warm start on the logit scale; u at zero, sigma at one."""
-    y = np.asarray(data, dtype=float)
     if model.n_rows == 0 or model.n_coefs == 0:
         beta = np.zeros(model.n_coefs)
     else:
-        lo = max(model.l, 1e-12)
-        target = logit(np.clip(y, lo, 1.0 - lo))
-        beta, *_ = np.linalg.lstsq(model.X, target, rcond=None)
+        beta = warm_start(model.X, np.asarray(data, dtype=float), model.l)[:-1]
     return ChainState(beta=beta, u=np.zeros(model.n_groups),
                       eta=np.log(10.0), sigma2=1.0)
 

@@ -35,6 +35,15 @@ class PosteriorSummary:
                 "q025": float(self.q025[k]), "q975": float(self.q975[k])}
 
 
+def check_lengths(iters: int, burnin: int, thin: int) -> None:
+    """Refuse a chain that keeps no draw, a negative burn-in or a thinning
+    step below one."""
+    if iters <= burnin:
+        raise ValidationError("iters must exceed burnin")
+    if burnin < 0 or thin < 1:
+        raise ValidationError("burnin must be >= 0 and thin >= 1")
+
+
 def run_sweeps(iters: int, burnin: int, thin: int,
                sweep: Callable[[int], Sequence[int]],
                state: Callable[[], np.ndarray],
@@ -46,10 +55,7 @@ def run_sweeps(iters: int, burnin: int, thin: int,
     proposals it makes per sweep. `state()` returns the current draw row.
     Returns (draws, post-burn-in acceptance rate per block).
     """
-    if iters <= burnin:
-        raise ValidationError("iters must exceed burnin")
-    if burnin < 0 or thin < 1:
-        raise ValidationError("burnin must be >= 0 and thin >= 1")
+    check_lengths(iters, burnin, thin)
     for it in range(1, burnin + 1):
         sweep(it)
     accepted = np.zeros(len(blocks), dtype=np.int64)

@@ -13,24 +13,23 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
-from typing import Dict, List, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import __version__
 from .bayes_hier_linear import (
-    HIER_SPEC,
     build_hier_model,
     posterior_predictive_mse,
     run_chain,
 )
 from .bayes_hier_nonlinear import (
-    DEFAULT_DELAYS,
     DiscountTruth,
     HyperPriors,
     discount_data_from_table,
@@ -38,6 +37,7 @@ from .bayes_hier_nonlinear import (
     normal_hier_sample,
     sltb_hier_sample,
 )
+from .chain import check_lengths
 from .data import read_csv, write_csv
 from .distributions import (
     DEFAULT_L,
@@ -65,21 +65,6 @@ ILLUSTRATION_S = 1.08
 ILLUSTRATION_L = 0.04
 
 
-# ---------------------------------------------------------------------------
-# manifest plumbing
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RunManifest:
-    command: List[str]
-    config: dict
-    seed: Optional[int]
-    version: str
-    inputs: Dict[str, str]
-    started: str
-    finished: str
-
-
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
@@ -98,25 +83,8 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _finish(out_dir: str, command: List[str], config: dict,
-            seed: Optional[int], inputs: Dict[str, str], started: str) -> None:
-    manifest = RunManifest(command=command, config=config, seed=seed,
-                           version=__version__, inputs=inputs,
-                           started=started, finished=_utc_now())
-    _write_json(os.path.join(out_dir, "manifest.json"), asdict(manifest))
-
-
-def _prepare_out(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
-def _digests(paths: Dict[str, Optional[str]]) -> Dict[str, str]:
-    return {p: _sha256(p) for p in paths.values() if p is not None}
-
-
 # ---------------------------------------------------------------------------
-# configuration helpers
+# configuration
 # ---------------------------------------------------------------------------
 
 def resolve_seed(flag_seed: Optional[int],
@@ -154,36 +122,86 @@ def _check_keys(obj: dict, allowed: tuple, what: str) -> None:
             f"unknown {what} keys {unknown}; allowed: {sorted(allowed)}")
 
 
-def _number(obj: dict, key: str, kind, default, what: str = "config"):
-    """`obj[key]` (or `default`) as `kind`, int or float; a value that does
-    not convert is a ValidationError naming the key."""
-    value = obj.get(key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        noun = "an integer" if kind is int else "a number"
-        raise ValidationError(
-            f"{what} '{key}' must be {noun}, got {value!r}") from None
+_REQUIRED = inspect.Parameter.empty
 
 
-def _optional_int(obj: dict, key: str, default):
-    """`_number(obj, key, int, default)`, except that null stays None."""
-    if obj.get(key, default) is None:
-        return None
-    return _number(obj, key, int, default)
+def _read_config(obj: dict, schema: dict, what: str) -> dict:
+    """Every key of `schema`, converted from `obj` or else its default.
+
+    `schema` maps a key to (converter, the noun error messages use for
+    its values, default); a `_REQUIRED` default makes the key required.
+    An unknown key, a missing required key or a value that will not
+    convert is a ValidationError naming the key.
+    """
+    _check_keys(obj, tuple(schema), what)
+    out = {}
+    for key, (convert, noun, default) in schema.items():
+        if key not in obj and default is _REQUIRED:
+            raise ValidationError(f"{what} needs '{key}'")
+        try:
+            out[key] = convert(obj[key]) if key in obj else default
+        except ValidationError:
+            raise  # a nested object's own message
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(
+                f"{what} '{key}' must be {noun}, got {obj[key]!r}") from None
+    return out
 
 
-def _list_of(obj: dict, key: str, default, kind, noun: str) -> tuple:
-    """`obj[key]` (or `default`) as a tuple of `kind`; anything but a JSON
-    list of convertible values is a ValidationError naming the key."""
-    value = obj.get(key, default)
-    try:
-        if isinstance(value, (list, tuple)):
-            return tuple(kind(v) for v in value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValidationError(
-        f"config '{key}' must be a list of {noun}, got {value!r}")
+def _schema(owner, **kinds) -> dict:
+    """A schema over the keys of `kinds`, each (converter, noun), with the
+    default that `owner`, a function or a dataclass, declares for the
+    parameter of the same name."""
+    params = inspect.signature(owner).parameters
+    return {key: (*kind, params[key].default) for key, kind in kinds.items()}
+
+
+def _list_of(kind):
+    def convert(value):
+        if not isinstance(value, list):
+            raise TypeError(value)
+        return tuple(kind(v) for v in value)
+    return convert
+
+
+def _numbers_object(cls, what: str):
+    """Converter of a JSON object of numbers to the dataclass `cls`."""
+    schema = {f.name: (*_NUMBER, f.default) for f in fields(cls)}
+    return lambda obj: cls(**_read_config(obj, schema, what))
+
+
+_INT = (int, "an integer")
+_NUMBER = (float, "a number")
+_OPTIONAL_INT = (lambda v: None if v is None else int(v), "an integer")
+_NUMBERS = (_list_of(float), "a list of numbers")
+_AS_GIVEN = (lambda v: v, "")  # checked where it is used
+_SEED = (*_AS_GIVEN, None)  # absent, resolve_seed falls back further
+
+# posterior rows each sampler reports for its group layers
+_GROUP_NAMES = {"sltb": ("mu_psi", "sigma2_psi", "mu_phi", "sigma2_phi"),
+                "normal": ("mu_psi", "sigma2_psi", "sigma2")}
+
+_CHAIN = _schema(run_chain, iters=_INT, burnin=_INT, thin=_INT)  # both samplers
+_SIMULATE = {
+    **_schema(SimConfig, n=_INT, reps=_INT, beta_true=_NUMBERS,
+              phi_true=_NUMBER, rounding_decimals=_OPTIONAL_INT),
+    **_schema(run_study, methods=(_list_of(str), "a list of method names")),
+    "base_seed": _SEED,
+}
+_HIER_MODEL = _schema(build_hier_model, spec=_AS_GIVEN, group=(str, "a string"),
+                      prior_variance=_NUMBER, sigma_upper=_NUMBER,
+                      s=_NUMBER, l=_NUMBER)
+_HIER_LINEAR = {**_CHAIN, **_HIER_MODEL, "seed": _SEED}
+_SIMULATED = _schema(  # the keys that only apply when simulating
+    gen_discount_data, nsubj=_INT, delays=_NUMBERS,
+    truth=(_numbers_object(DiscountTruth, "truth"), "an object"),
+    rounding_decimals=_OPTIONAL_INT)
+_HIER_NONLINEAR = {
+    **_CHAIN, **_SIMULATED, "seed": _SEED,
+    "models": (_list_of(str), "a list of model names", tuple(_GROUP_NAMES)),
+    **_schema(sltb_hier_sample,
+              priors=(_numbers_object(HyperPriors, "priors"), "an object")),
+}
 
 
 def _spec_from_obj(obj, where: str) -> RegressionSpec:
@@ -207,11 +225,6 @@ def load_spec(path: str) -> RegressionSpec:
     return _spec_from_obj(_load_json_object(path, "spec"), path)
 
 
-def _spec_snapshot(spec: RegressionSpec) -> dict:
-    return {"response": spec.response, "terms": list(spec.terms),
-            "factors": dict(spec.factors)}
-
-
 def _summary_snapshot(summary, extra: Optional[dict] = None) -> dict:
     out = {
         "rows": {name: summary.row(name) for name in summary.names},
@@ -230,16 +243,15 @@ def _emit_warnings(summary) -> None:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each writes its outputs into args.out and returns the
+# manifest's (command, config, seed, input paths)
 # ---------------------------------------------------------------------------
 
-def cmd_fit(args, started: str) -> None:
-    out = _prepare_out(args.out)
+def cmd_fit(args):
+    out = args.out
     data = read_csv(args.data)
     spec = load_spec(args.spec)
-    s = DEFAULT_S if args.s is None else args.s
-    l = DEFAULT_L if args.l is None else args.l
-    fit = fit_mle(spec, data, family=args.family, s=s, l=l)
+    fit = fit_mle(spec, data, family=args.family, s=args.s, l=args.l)
 
     names = list(fit.coef_names) + ["log_phi"]
     est = list(fit.coefficients) + [fit.log_precision]
@@ -266,121 +278,71 @@ def cmd_fit(args, started: str) -> None:
                for i in range(len(resid))])
     _write_json(os.path.join(out, "mse.json"), mse_report(fit, spec, data))
 
-    config = {"family": args.family, "s": s, "l": l,
-              "spec": _spec_snapshot(spec)}
-    _finish(out, ["fit", args.data, args.spec], config, None,
-            _digests({"data": args.data, "spec": args.spec}), started)
+    config = {"family": args.family, "s": args.s, "l": args.l,
+              "spec": asdict(spec)}
+    return ["fit", args.data, args.spec], config, None, [args.data, args.spec]
 
 
-_SIM_KEYS = ("n", "reps", "beta_true", "phi_true", "rounding_decimals",
-             "base_seed", "methods")
-
-
-def cmd_simulate(args, started: str) -> None:
-    out = _prepare_out(args.out)
-    obj = _load_json_object(args.config, "config")
-    _check_keys(obj, _SIM_KEYS, "config")
-    for key in ("n", "reps"):
-        if key not in obj:
-            raise ValidationError(f"config needs '{key}'")
-    seed = resolve_seed(args.seed, obj.get("base_seed"))
-    cfg = SimConfig(
-        n=_number(obj, "n", int, None), reps=_number(obj, "reps", int, None),
-        beta_true=_list_of(obj, "beta_true", (1.2, -0.88, 0.43, -0.52),
-                           float, "numbers"),
-        phi_true=_number(obj, "phi_true", float, 10.0),
-        rounding_decimals=_optional_int(obj, "rounding_decimals", 2),
-        base_seed=seed)
-    methods = _list_of(obj, "methods", ("sltb",), str, "method names")
-    report = run_study(cfg, methods=methods, threads=args.threads)
+def cmd_simulate(args):
+    cfg = _read_config(_load_json_object(args.config, "config"), _SIMULATE,
+                       "config")
+    seed = resolve_seed(args.seed, cfg.pop("base_seed"))
+    methods = cfg.pop("methods")
+    report = run_study(SimConfig(**cfg, base_seed=seed), methods=methods,
+                       threads=args.threads)
 
     header, rows = records_table(report)
-    write_csv(os.path.join(out, "records.csv"), header, rows)
-    _write_json(os.path.join(out, "summary.json"),
-                report.to_dict(include_timing=False))
-    _write_json(os.path.join(out, "timing.json"),
+    write_csv(os.path.join(args.out, "records.csv"), header, rows)
+    summary = report.to_dict(include_timing=False)
+    _write_json(os.path.join(args.out, "summary.json"), summary)
+    _write_json(os.path.join(args.out, "timing.json"),
                 {"mean_fit_seconds": dict(report.mean_fit_seconds)})
 
-    config = report.to_dict(include_timing=False)["config"]
-    config["methods"] = list(methods)
-    config["threads"] = args.threads
-    _finish(out, ["simulate", args.config], config, seed,
-            _digests({"config": args.config}), started)
+    config = {**summary["config"], "methods": list(methods),
+              "threads": args.threads}
+    return ["simulate", args.config], config, seed, [args.config]
 
 
-_HIER_KEYS = ("iters", "burnin", "thin", "seed", "group", "prior_variance",
-              "sigma_upper", "s", "l", "spec")
-
-
-def cmd_hier_linear(args, started: str) -> None:
-    out = _prepare_out(args.out)
+def cmd_hier_linear(args):
     obj = _load_json_object(args.config, "config") if args.config else {}
-    _check_keys(obj, _HIER_KEYS, "config")
-    seed = resolve_seed(args.seed, obj.get("seed"))
+    config = _read_config(obj, _HIER_LINEAR, "config")
+    lengths = {key: config[key] for key in _CHAIN}
+    check_lengths(**lengths)
+    seed = resolve_seed(args.seed, config.pop("seed"))
+    if "spec" in obj:
+        config["spec"] = _spec_from_obj(obj["spec"], args.config)
     data = read_csv(args.data)
-    spec = _spec_from_obj(obj["spec"], args.config) if "spec" in obj \
-        else HIER_SPEC
-    config = {
-        "iters": _number(obj, "iters", int, 20000),
-        "burnin": _number(obj, "burnin", int, 5000),
-        "thin": _number(obj, "thin", int, 5),
-        "group": str(obj.get("group", "county")),
-        "prior_variance": _number(obj, "prior_variance", float, 1e3),
-        "sigma_upper": _number(obj, "sigma_upper", float, 20.0),
-        "s": _number(obj, "s", float, DEFAULT_S),
-        "l": _number(obj, "l", float, DEFAULT_L),
-        "spec": _spec_snapshot(spec),
-    }
-    model, y = build_hier_model(
-        data, spec, group=config["group"],
-        prior_variance=config["prior_variance"],
-        sigma_upper=config["sigma_upper"], s=config["s"], l=config["l"])
-    res = run_chain(model, y, iters=config["iters"], burnin=config["burnin"],
-                    thin=config["thin"], seed=seed)
+    model, y = build_hier_model(data, **{key: config[key] for key in _HIER_MODEL})
+    res = run_chain(model, y, seed=seed, **lengths)
     _emit_warnings(res.summary)
 
-    write_csv(os.path.join(out, "draws.csv"), list(res.columns),
+    write_csv(os.path.join(args.out, "draws.csv"), list(res.columns),
               [list(row) for row in res.draws])
     mse_val = posterior_predictive_mse(res, model, y)
-    _write_json(os.path.join(out, "summary.json"),
+    _write_json(os.path.join(args.out, "summary.json"),
                 _summary_snapshot(res.summary,
                                   {"posterior_predictive_mse": mse_val}))
-    _finish(out, ["hier-linear", args.data], config, seed,
-            _digests({"data": args.data, "config": args.config}), started)
+    config["spec"] = asdict(config["spec"])
+    return ["hier-linear", args.data], config, seed, [args.data, args.config]
 
 
-_NONLINEAR_KEYS = ("nsubj", "delays", "truth", "rounding_decimals", "iters",
-                   "burnin", "thin", "seed", "models", "priors")
-_TRUTH_KEYS = ("mu_psi", "sigma2_psi", "mu_lnphi", "sigma2_lnphi")
-_PRIOR_KEYS = ("mu_psi0", "lam2_psi0", "a1", "b1", "mu_phi0", "lam2_phi0",
-               "a2", "b2")
-
-
-def cmd_hier_nonlinear(args, started: str) -> None:
-    out = _prepare_out(args.out)
+def cmd_hier_nonlinear(args):
     obj = _load_json_object(args.config, "config") if args.config else {}
-    _check_keys(obj, _NONLINEAR_KEYS, "config")
-    seed = resolve_seed(args.seed, obj.get("seed"))
-    models = _list_of(obj, "models", ("sltb", "normal"), str, "model names")
+    cfg = _read_config(obj, _HIER_NONLINEAR, "config")
+    lengths = {key: cfg[key] for key in _CHAIN}
+    check_lengths(**lengths)
+    seed = resolve_seed(args.seed, cfg["seed"])
+    models = cfg["models"]
     for m in models:
-        if m not in ("sltb", "normal"):
+        if m not in _GROUP_NAMES:
             raise ValidationError(f"unknown model '{m}', expected sltb or normal")
     if not models:
         raise ValidationError("config 'models' must name at least one model")
-    prior_obj = obj.get("priors", {})
-    _check_keys(prior_obj, _PRIOR_KEYS, "priors")
-    priors = HyperPriors(**{k: _number(prior_obj, k, float, None, "priors")
-                            for k in prior_obj})
-    config = {
-        "iters": _number(obj, "iters", int, 20000),
-        "burnin": _number(obj, "burnin", int, 5000),
-        "thin": _number(obj, "thin", int, 5),
-        "models": list(models),
-        "priors": asdict(priors),
-    }
+    config = {**lengths, "models": list(models),
+              "priors": asdict(cfg["priors"])}
 
     if args.data is not None:
-        for key in ("nsubj", "delays", "truth", "rounding_decimals"):
+        for key in _SIMULATED:
             if key in obj:
                 raise ValidationError(
                     f"config key '{key}' only applies when simulating; "
@@ -388,50 +350,32 @@ def cmd_hier_nonlinear(args, started: str) -> None:
         data = discount_data_from_table(read_csv(args.data))
         config["source"] = "file"
     else:
-        truth_obj = obj.get("truth", {})
-        _check_keys(truth_obj, _TRUTH_KEYS, "truth")
-        truth = DiscountTruth(**{k: _number(truth_obj, k, float, None, "truth")
-                                 for k in truth_obj})
-        rounding = _optional_int(obj, "rounding_decimals", None)
-        samp = gen_discount_data(
-            nsubj=_number(obj, "nsubj", int, 100),
-            delays=_list_of(obj, "delays", DEFAULT_DELAYS, float, "numbers"),
-            truth=truth, seed=seed, rounding_decimals=rounding)
-        data = samp.data
-        write_csv(os.path.join(out, "data.csv"), data.to_table())
+        data = gen_discount_data(
+            seed=seed, **{key: cfg[key] for key in _SIMULATED}).data
+        write_csv(os.path.join(args.out, "data.csv"), data.to_table())
         config.update({
             "source": "simulated", "nsubj": data.n_subjects,
-            "delays": list(data.delays), "truth": asdict(truth),
-            "rounding_decimals": rounding})
+            "delays": list(data.delays), "truth": asdict(cfg["truth"]),
+            "rounding_decimals": cfg["rounding_decimals"]})
 
     report = {}
     # chain seeds are offset so neither stream repeats the generator's
     for offset, name in enumerate(models, start=1):
-        if name == "sltb":
-            res = sltb_hier_sample(data, priors, iters=config["iters"],
-                                   burnin=config["burnin"],
-                                   seed=seed + offset, thin=config["thin"])
-            group_names = ("mu_psi", "sigma2_psi", "mu_phi", "sigma2_phi")
-        else:
-            res = normal_hier_sample(data, priors, iters=config["iters"],
-                                     burnin=config["burnin"],
-                                     seed=seed + offset, thin=config["thin"])
-            group_names = ("mu_psi", "sigma2_psi", "sigma2")
+        sample = sltb_hier_sample if name == "sltb" else normal_hier_sample
+        res = sample(data, cfg["priors"], seed=seed + offset, **lengths)
         _emit_warnings(res.summary)
-        write_csv(os.path.join(out, f"draws_{name}.csv"), list(res.columns),
-                  [list(row) for row in res.draws])
-        _write_json(os.path.join(out, f"summary_{name}.json"),
+        write_csv(os.path.join(args.out, f"draws_{name}.csv"),
+                  list(res.columns), [list(row) for row in res.draws])
+        _write_json(os.path.join(args.out, f"summary_{name}.json"),
                     _summary_snapshot(res.summary))
-        report[name] = {g: res.summary.row(g) for g in group_names}
-    _write_json(os.path.join(out, "report.json"), report)
+        report[name] = {g: res.summary.row(g) for g in _GROUP_NAMES[name]}
+    _write_json(os.path.join(args.out, "report.json"), report)
 
     command = ["hier-nonlinear"] + ([args.data] if args.data else [])
-    _finish(out, command, config, seed,
-            _digests({"data": args.data, "config": args.config}), started)
+    return command, config, seed, [args.data, args.config]
 
 
-def cmd_density(args, started: str) -> None:
-    out = _prepare_out(args.out)
+def cmd_density(args):
     if args.grid_n < 2:
         raise ValidationError(f"grid-n must be at least 2, got {args.grid_n}")
     if args.preset == "illustration":
@@ -456,11 +400,11 @@ def cmd_density(args, started: str) -> None:
                 "no density.csv written")
     beta_col = np.full(args.grid_n, None)  # beta is undefined at 0 and 1
     beta_col[interior] = beta_vals
-    write_csv(os.path.join(out, "density.csv"), ["g", "sltb_pdf", "beta_pdf"],
-              zip(g, dens, beta_col))
+    write_csv(os.path.join(args.out, "density.csv"),
+              ["g", "sltb_pdf", "beta_pdf"], zip(g, dens, beta_col))
     config = {"mu": args.mu, "phi": args.phi, "s": s, "l": l,
               "grid_n": args.grid_n, "preset": args.preset}
-    _finish(out, ["density"], config, None, {}, started)
+    return ["density"], config, None, []
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True,
                    help="model spec JSON: {response, terms, factors}")
     p.add_argument("--family", choices=("sltb", "beta"), default="sltb")
-    p.add_argument("--s", type=float, default=None, help="scale parameter")
-    p.add_argument("--l", type=float, default=None, help="location parameter")
+    p.add_argument("--s", type=float, default=DEFAULT_S, help="scale parameter")
+    p.add_argument("--l", type=float, default=DEFAULT_L,
+                   help="location parameter")
     p.add_argument("--out", default="sltb_out", help="output directory")
     p.set_defaults(handler=cmd_fit)
 
@@ -530,7 +475,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = _utc_now()
     try:
-        args.handler(args, started)
+        os.makedirs(args.out, exist_ok=True)
+        command, config, seed, inputs = args.handler(args)
+        _write_json(os.path.join(args.out, "manifest.json"), {
+            "command": command, "config": config, "seed": seed,
+            "version": __version__,
+            "inputs": {p: _sha256(p) for p in inputs if p is not None},
+            "started": started, "finished": _utc_now()})
         return EXIT_OK
     except (ValidationError, DomainError, BoundaryError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -200,6 +200,20 @@ def _linear_predictor(beta: np.ndarray, X: np.ndarray) -> np.ndarray:
     return lp
 
 
+def _loglik(theta: np.ndarray, X: np.ndarray, logpdf) -> float:
+    """Sum of `logpdf(mu, phi)` at theta, or -inf where |eta| exceeds
+    ETA_LIMIT, a mean rounds onto 0 or 1, or the sum is not finite."""
+    beta, eta = _theta_parts(theta, X)
+    lp = _linear_predictor(beta, X)
+    if abs(eta) > ETA_LIMIT:
+        return -np.inf
+    mu = expit(lp)
+    if (mu <= 0.0).any() or (mu >= 1.0).any():
+        return -np.inf
+    total = float(logpdf(mu, np.exp(eta)).sum())
+    return total if math.isfinite(total) else -np.inf
+
+
 def loglik_beta(theta: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
     """Beta log-likelihood; rejects boundary observations outright."""
     y = np.asarray(y, dtype=float)
@@ -209,15 +223,7 @@ def loglik_beta(theta: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
             "beta log-likelihood is undefined at 0/1 responses (rows "
             + ", ".join(str(int(i)) for i in boundary[:10]) + ")",
             rows=tuple(int(i) for i in boundary))
-    beta, eta = _theta_parts(theta, X)
-    lp = _linear_predictor(beta, X)
-    if abs(eta) > ETA_LIMIT:
-        return -np.inf
-    mu = expit(lp)
-    if (mu <= 0.0).any() or (mu >= 1.0).any():
-        return -np.inf
-    total = float(beta_logpdf_arrays(mu, np.exp(eta), y).sum())
-    return total if math.isfinite(total) else -np.inf
+    return _loglik(theta, X, lambda mu, phi: beta_logpdf_arrays(mu, phi, y))
 
 
 def loglik_sltb(theta: np.ndarray, X: np.ndarray, y: np.ndarray,
@@ -235,25 +241,16 @@ def loglik_sltb(theta: np.ndarray, X: np.ndarray, y: np.ndarray,
         if ((y < 0.0) | (y > 1.0)).any():
             raise DomainError("responses must lie in [0,1]")
         logs = log_x_pair(y, s, l)[2:]
-    beta, eta = _theta_parts(theta, X)
-    lp = _linear_predictor(beta, X)
-    if abs(eta) > ETA_LIMIT:
-        return -np.inf
-    mu = expit(lp)
-    if (mu <= 0.0).any() or (mu >= 1.0).any():
-        return -np.inf
-    total = float(sltb_logpdf_arrays(mu, np.exp(eta), s, l, y, logs).sum())
-    return total if math.isfinite(total) else -np.inf
-
-
-_FAMILY_LOGLIK = {"beta": loglik_beta, "sltb": loglik_sltb}
+    return _loglik(theta, X, lambda mu, phi:
+                   sltb_logpdf_arrays(mu, phi, s, l, y, logs))
 
 
 # ---------------------------------------------------------------------------
 # fitting
 # ---------------------------------------------------------------------------
 
-def _warm_start(X: np.ndarray, y: np.ndarray, l: float) -> np.ndarray:
+def warm_start(X: np.ndarray, y: np.ndarray, l: float) -> np.ndarray:
+    """Least squares on the logit of the clipped response, then eta = ln 10."""
     clamped = np.clip(y, max(l, 1e-12), 1.0 - max(l, 1e-12))
     beta0, *_ = np.linalg.lstsq(X, logit(clamped), rcond=None)
     return np.append(beta0, np.log(10.0))
@@ -266,7 +263,7 @@ def fit_mle(spec: RegressionSpec, data: TabularDataset, family: str = "sltb",
     Wald machinery: vcov is the inverse numeric Hessian of the negative
     log-likelihood at the optimum, z = estimate/se, p two-sided normal.
     """
-    if family not in _FAMILY_LOGLIK:
+    if family not in ("beta", "sltb"):
         raise ValidationError(f"unknown family '{family}', expected sltb or beta")
     check_scale_location(s, l)
     X, names = build_design(spec, data)
@@ -279,7 +276,6 @@ def fit_mle(spec: RegressionSpec, data: TabularDataset, family: str = "sltb",
                 + ", ".join(str(int(i)) for i in boundary[:10]),
                 rows=tuple(int(i) for i in boundary))
 
-    if family == "beta":
         def ll(theta):
             return loglik_beta(theta, X, y)
     else:
@@ -295,7 +291,7 @@ def fit_mle(spec: RegressionSpec, data: TabularDataset, family: str = "sltb",
             return np.inf
         return -ll(theta)
 
-    theta0 = _warm_start(X, y, l)
+    theta0 = warm_start(X, y, l)
     trace = [ll(theta0)]
 
     def record(intermediate_result):

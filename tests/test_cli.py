@@ -1,15 +1,26 @@
 """Command-line surface: outputs, manifests, exit codes, determinism."""
 
 import csv
+import inspect
 import json
+import os
 import subprocess
 import sys
+from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sltb.bayes_hier_linear import gen_alcohol_fixture
-from sltb.bayes_hier_nonlinear import gen_discount_data
+import sltb
+from sltb.bayes_hier_linear import build_hier_model, gen_alcohol_fixture, run_chain
+from sltb.bayes_hier_nonlinear import (
+    DiscountTruth,
+    HyperPriors,
+    gen_discount_data,
+    normal_hier_sample,
+    sltb_hier_sample,
+)
 from sltb.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -458,11 +469,13 @@ _FIT = ["fit", "--data", "@fit-data", "--spec", "@fit-spec"]
      "location l must be finite and nonnegative, got inf"),
     (["density", "--mu", "0.5", "--phi", "4", "--s", "inf"], None,
      EXIT_VALIDATION, "scale s must be finite and positive, got inf"),
+    (["hier-nonlinear"], {"nsubj": 3, "iters": 50, "burnin": 50},
+     EXIT_VALIDATION, "iters must exceed burnin"),
 ], ids=["density-tiny-phi", "spec-without-response", "iters-not-int",
         "prior-not-number", "n-not-int", "beta-true-not-list",
         "rounding-not-int", "methods-not-list", "delays-not-list",
         "models-not-list", "fit-s-below-one", "fit-l-negative", "fit-s-nan",
-        "fit-l-inf", "density-s-inf"])
+        "fit-l-inf", "density-s-inf", "nonlinear-iters-not-above-burnin"])
 def test_malformed_input_exits_with_message(argv, config, code, message,
                                             alcohol_csv, fit_files, tmp_path,
                                             capsys):
@@ -482,8 +495,57 @@ def test_malformed_input_exits_with_message(argv, config, code, message,
     assert not out.exists() or not any(out.iterdir())  # nothing written
 
 
+# --- resolved defaults ----------------------------------------------------------
+
+def _defaults(fn, *names):
+    params = inspect.signature(fn).parameters
+    return {n: params[n].default for n in names}
+
+
+def _as_json(obj):
+    return json.loads(json.dumps(obj))
+
+
+def test_resolved_defaults_are_the_librarys(alcohol_csv, tmp_path,
+                                           monkeypatch, capsys):
+    monkeypatch.delenv("SLTB_DEFAULT_SEED", raising=False)
+    lengths = {"iters": 30, "burnin": 10, "thin": 1}
+    for sampler in (sltb_hier_sample, normal_hier_sample):  # one CLI default
+        assert (_defaults(sampler, "iters", "burnin", "thin")
+                == _defaults(run_chain, "iters", "burnin", "thin"))
+
+    sim = {f.name: f.default for f in fields(SimConfig)}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 20, "reps": 2}))
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "sim")]) == EXIT_OK
+    assert _read_manifest(tmp_path / "sim")["config"] == _as_json(
+        {**sim, "n": 20, "reps": 2, "methods": ["sltb"], "threads": 1})
+
+    cfg.write_text(json.dumps(lengths))
+    assert main(["hier-linear", "--data", str(alcohol_csv), "--config",
+                 str(cfg), "--out", str(tmp_path / "hl")]) == EXIT_OK
+    model = _defaults(build_hier_model, "group", "prior_variance",
+                      "sigma_upper", "s", "l")
+    spec = asdict(_defaults(build_hier_model, "spec")["spec"])
+    assert _read_manifest(tmp_path / "hl")["config"] == _as_json(
+        {**lengths, **model, "spec": spec})
+
+    assert main(["hier-nonlinear", "--config", str(cfg),
+                 "--out", str(tmp_path / "nl")]) == EXIT_OK
+    gen = _defaults(gen_discount_data, "nsubj", "delays", "rounding_decimals")
+    assert _read_manifest(tmp_path / "nl")["config"] == _as_json({
+        **lengths, **gen, "truth": asdict(DiscountTruth()),
+        "priors": asdict(HyperPriors()), "models": ["sltb", "normal"],
+        "source": "simulated"})
+    capsys.readouterr()
+
+
 def test_console_script_runs():
+    # the directory holding the package, so an uninstalled checkout runs too
+    path = [str(Path(sltb.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run([sys.executable, "-m", "sltb", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "density" in proc.stdout
