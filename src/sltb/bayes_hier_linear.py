@@ -34,7 +34,7 @@ import numpy as np
 from scipy.special import expit
 
 from .chain import PosteriorSummary, run_sweeps, summarize
-from .data import TabularDataset
+from .data import TabularDataset, round_responses
 from .distributions import DEFAULT_L, DEFAULT_S, log_x_pair, sltb_logpdf_arrays
 from .errors import NumericalError, ValidationError
 from .kernel import Rng
@@ -495,11 +495,8 @@ def gen_alcohol_fixture(n_counties: int = 56, rows: int = 1340,
         if not out.any():
             break
         raw[out] = np.asarray(rng.beta(mu[out] * phi, (1.0 - mu[out]) * phi))
-    y = (raw - l) * s
-    if rounding_decimals is not None:
-        y = np.round(y, rounding_decimals)
     data = TabularDataset({
         "county": county, "gender": gender, "grade": grade,
-        "medDays": med, "y": y})
+        "medDays": med, "y": round_responses((raw - l) * s, rounding_decimals)})
     return AlcoholFixture(data=data, beta=dict(TABLE_EFFECTS), eta=eta,
                           sigma2=sigma2, u=u)

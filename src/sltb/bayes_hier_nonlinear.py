@@ -19,13 +19,15 @@ import numpy as np
 from scipy.special import expit
 
 from .chain import PosteriorSummary, run_sweeps, rw_update, summarize
-from .data import TabularDataset
+from .data import TabularDataset, round_responses
 from .distributions import DEFAULT_L, DEFAULT_S, log_x_pair, sltb_logpdf_arrays
 from .errors import NumericalError, ValidationError
 from .kernel import Rng
 from .regression import ETA_LIMIT
 
+# the chain start's per-subject grids
 _PSI_GRID = np.linspace(-12.0, 2.0, 29)
+_LN_PHI_GRID = np.linspace(-3.0, 9.0, 49)
 
 
 @dataclass(frozen=True)
@@ -179,10 +181,8 @@ def gen_discount_data(nsubj: int = 100,
     phi = np.exp(ln_phi)[:, None]
     mu = discount_mean(psi[:, None], np.asarray(delays)[None, :])
     y = np.asarray(rng.beta(mu * phi, (1.0 - mu) * phi))
-    if rounding_decimals is not None:
-        y = np.round(y, rounding_decimals)
     data = DiscountData(
-        y=y, delays=tuple(delays),
+        y=round_responses(y, rounding_decimals), delays=tuple(delays),
         subject_ids=tuple(f"s{i + 1:03d}" for i in range(nsubj)))
     return DiscountSample(data=data, psi=psi, ln_phi=ln_phi, truth=truth)
 
@@ -231,27 +231,23 @@ def gibbs_sigma2(rng: Rng, values: np.ndarray, mu: float,
 
 def sltb_subject_logliks(psi: np.ndarray, ln_phi: np.ndarray,
                           data: DiscountData, s: float, l: float,
-                          y: Optional[np.ndarray] = None,
                           logs: Optional[Tuple[np.ndarray, np.ndarray]] = None
                           ) -> np.ndarray:
     """Per-subject log-likelihood sums; -inf rows mark unusable parameters.
 
-    `y` defaults to every subject's responses; pass rows of `data.y` (a
-    subset, or one subject repeated) to score `psi`/`ln_phi` against them.
-    `logs` is ``log_x_pair(y, s, l)[2:]`` for those rows; a chain takes it
-    once instead of on every call.
+    `logs` is ``log_x_pair(data.y, s, l)[2:]``; a chain takes it once
+    instead of on every call.
     """
-    y = data.y if y is None else y
     if data.n_delays == 0:
-        return np.zeros(len(y))
-    out = np.full(len(y), -np.inf)
+        return np.zeros(data.n_subjects)
+    out = np.full(data.n_subjects, -np.inf)
     usable = np.abs(ln_phi) <= ETA_LIMIT
     mu = discount_mean(psi[:, None], np.asarray(data.delays)[None, :])
     usable &= ((mu > 0.0) & (mu < 1.0)).all(axis=1)
     if not usable.any():
         return out
     rows = sltb_logpdf_arrays(
-        mu[usable], np.exp(ln_phi[usable])[:, None], s, l, y[usable],
+        mu[usable], np.exp(ln_phi[usable])[:, None], s, l, data.y[usable],
         logs=None if logs is None else (logs[0][usable], logs[1][usable]))
     out[usable] = rows.sum(axis=1)
     return out
@@ -316,127 +312,39 @@ class NonlinearChainState:
     mu_phi: float
     sigma2_phi: float
     resid_sigma2: float
-    # subjects whose start fit failed and who start from their grid value
-    grid_started: Tuple[str, ...] = ()
 
     def __post_init__(self):
         if min(self.sigma2_psi, self.sigma2_phi, self.resid_sigma2) <= 0:
             raise ValidationError("variances must be positive")
 
 
-# scipy's non-adaptive Nelder-Mead coefficients and initial-simplex steps,
-# and the start fit's tolerances
-_NM_RHO, _NM_CHI, _NM_PSI, _NM_SIGMA = 1, 2, 0.5, 0.5
-_NM_NONZDELT, _NM_ZDELT = 0.05, 0.00025
-_NM_XATOL, _NM_FATOL = 1e-6, 1e-9
-
-
-def _sort_simplices(sim: np.ndarray, fsim: np.ndarray):
-    """Order each simplex best vertex first; the sort is stable, as
-    scipy's argsort is on three values."""
-    order = np.argsort(fsim, axis=1, kind="stable")
-    return (np.take_along_axis(sim, order[:, :, None], axis=1),
-            np.take_along_axis(fsim, order, axis=1))
-
-
-def _nelder_mead_batch(f, x0: np.ndarray, maxiter: int = 400
-                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nelder & Mead (1965) on many independent problems in lockstep.
-
-    Row k of `x0` (problems, dims) starts problem k. `f(points, rows)`
-    returns the objective of each point, where `rows` names the problem
-    each point belongs to. Every step runs scipy's non-adaptive
-    Nelder-Mead step, with its branch tests and stopping rules, on each
-    unfinished problem, so each problem ends exactly where
-    ``scipy.optimize.minimize(method="Nelder-Mead")`` would. Returns
-    (best point, its value, success) per problem; success means the
-    simplex met `xatol` 1e-6 and `fatol` 1e-9 within `maxiter`.
-    """
-    n, dim = x0.shape
-    sim = np.repeat(x0[:, None, :], dim + 1, axis=1)
-    for k in range(dim):
-        col = x0[:, k]
-        sim[:, k + 1, k] = np.where(col != 0, (1 + _NM_NONZDELT) * col,
-                                    _NM_ZDELT)
-    active = np.arange(n)
-    fsim = f(sim.reshape(-1, dim), np.repeat(active, dim + 1)).reshape(n, dim + 1)
-    sim, fsim = _sort_simplices(sim, fsim)
-    success = np.zeros(n, dtype=bool)
-    # scipy counts its initial simplex as iteration 1
-    for _ in range(maxiter - 1):
-        sub, fsub = sim[active], fsim[active]
-        with np.errstate(invalid="ignore"):  # inf - inf between vertices
-            xspan = np.abs(sub[:, 1:] - sub[:, :1]).max(axis=(1, 2))
-            fspan = np.abs(fsub[:, :1] - fsub[:, 1:]).max(axis=1)
-        done = (xspan <= _NM_XATOL) & (fspan <= _NM_FATOL)
-        success[active[done]] = True
-        active, sub, fsub = active[~done], sub[~done], fsub[~done]
-        if active.size == 0:
-            break
-        xbar = np.add.reduce(sub[:, :-1], 1) / dim
-        worst = sub[:, -1]
-        xr = (1 + _NM_RHO) * xbar - _NM_RHO * worst
-        fxr = f(xr, active)
-        expand = fxr < fsub[:, 0]
-        keep_r = ~expand & (fxr < fsub[:, -2])
-        outside = ~expand & ~keep_r & (fxr < fsub[:, -1])
-        inside = ~(expand | keep_r | outside)
-        # expansion, outside or inside contraction: one more point each
-        trial = np.where(
-            expand[:, None],
-            (1 + _NM_RHO * _NM_CHI) * xbar - _NM_RHO * _NM_CHI * worst,
-            np.where(outside[:, None],
-                     (1 + _NM_PSI * _NM_RHO) * xbar - _NM_PSI * _NM_RHO * worst,
-                     (1 - _NM_PSI) * xbar + _NM_PSI * worst))
-        ftrial = np.full(active.size, np.inf)
-        ftrial[~keep_r] = f(trial[~keep_r], active[~keep_r])
-        take_trial = ((expand & (ftrial < fxr)) | (outside & (ftrial <= fxr))
-                      | (inside & (ftrial < fsub[:, -1])))
-        take_r = keep_r | (expand & ~take_trial)
-        shrink = (outside | inside) & ~take_trial
-        sub[take_trial, -1] = trial[take_trial]
-        fsub[take_trial, -1] = ftrial[take_trial]
-        sub[take_r, -1], fsub[take_r, -1] = xr[take_r], fxr[take_r]
-        if shrink.any():
-            best = sub[shrink, :1]
-            moved = best + _NM_SIGMA * (sub[shrink, 1:] - best)
-            sub[shrink, 1:] = moved
-            fsub[shrink, 1:] = f(moved.reshape(-1, dim),
-                                 np.repeat(active[shrink], dim)).reshape(-1, dim)
-        sim[active], fsim[active] = _sort_simplices(sub, fsub)
-    return sim[:, 0], fsim[:, 0], success
-
-
-def _subject_mles(data: DiscountData, s: float, l: float
-                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Two-parameter fit per subject, grid-seeded; a subject whose
-    simplex fails starts from its grid value. Returns (psi, ln_phi,
-    fitted), where `fitted` is False for the subjects that fell back."""
-    def nll(points, rows=None):
-        ll = sltb_subject_logliks(points[:, 0], points[:, 1], data, s, l,
-                                  None if rows is None else data.y[rows])
-        return np.where(np.isfinite(ll), -ll, np.inf)
-
+def _grid_estimates(data: DiscountData, s: float, l: float
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-subject grid estimates, batched over subjects: each subject's
+    best psi on `_PSI_GRID` at ln phi = ln 10, then its best ln phi on
+    `_LN_PHI_GRID` at that psi. Returns (psi, ln_phi)."""
     n = data.n_subjects
-    ln_phi0 = np.log(10.0)
-    nlls = np.array([nll(np.column_stack([np.full(n, p), np.full(n, ln_phi0)]))
-                     for p in _PSI_GRID])
-    best = _PSI_GRID[np.argmin(nlls, axis=0)]
-    x, fun, success = _nelder_mead_batch(
-        nll, np.column_stack([best, np.full(n, ln_phi0)]))
-    fitted = success & np.isfinite(x).all(axis=1) & np.isfinite(fun)
-    return (np.where(fitted, x[:, 0], best),
-            np.where(fitted, x[:, 1], ln_phi0), fitted)
+    logs = log_x_pair(data.y, s, l)[2:]
+
+    def best(grid, loglik):
+        ll = np.array([loglik(np.full(n, g)) for g in grid])
+        return grid[np.argmax(np.where(np.isfinite(ll), ll, -np.inf), axis=0)]
+
+    psi = best(_PSI_GRID, lambda p: sltb_subject_logliks(
+        p, np.full(n, np.log(10.0)), data, s, l, logs))
+    return psi, best(_LN_PHI_GRID, lambda p: sltb_subject_logliks(
+        psi, p, data, s, l, logs))
 
 
 def initialize_chain(data: DiscountData, rng: Optional[Rng] = None,
                      s: float = DEFAULT_S, l: float = DEFAULT_L
                      ) -> NonlinearChainState:
-    """Empirical start: per-subject fits set the location of every layer."""
+    """Empirical start: per-subject grid estimates set the location and
+    spread of every layer."""
     if data.n_subjects < 1 or data.n_delays < 1:
         raise ValidationError("initialization needs at least one observation")
     rng = rng if rng is not None else Rng(0)
-    psi_hat, ln_phi_hat, fitted = _subject_mles(data, s, l)
+    psi_hat, ln_phi_hat = _grid_estimates(data, s, l)
     sd_psi = max(float(np.std(psi_hat)), 1e-8)
     sd_phi = max(float(np.std(ln_phi_hat)), 1e-8)
     psi0 = np.asarray(rng.normal(float(np.mean(psi_hat)), sd_psi,
@@ -447,9 +355,7 @@ def initialize_chain(data: DiscountData, rng: Optional[Rng] = None,
         psi=psi0, ln_phi=ln_phi0,
         mu_psi=float(np.mean(psi_hat)), sigma2_psi=100.0,
         mu_phi=float(np.mean(ln_phi_hat)), sigma2_phi=100.0,
-        resid_sigma2=100.0,
-        grid_started=tuple(sid for sid, ok in zip(data.subject_ids, fitted)
-                           if not ok))
+        resid_sigma2=100.0)
 
 
 # ---------------------------------------------------------------------------
@@ -461,12 +367,6 @@ class NonlinearResult:
     summary: PosteriorSummary
     columns: Tuple[str, ...]
     draws: np.ndarray = field(repr=False)
-
-
-def _start_notes(start: NonlinearChainState) -> Tuple[str, ...]:
-    ids = start.grid_started
-    return (f"start fit fell back to the psi grid for {len(ids)} subject(s): "
-            f"{', '.join(ids)}",) if ids else ()
 
 
 def sltb_hier_sample(data: DiscountData, priors: HyperPriors = HYPER,
@@ -510,7 +410,7 @@ def sltb_hier_sample(data: DiscountData, priors: HyperPriors = HYPER,
             *(f"psi_{sid}" for sid in data.subject_ids),
             *(f"ln_phi_{sid}" for sid in data.subject_ids))
     return NonlinearResult(
-        summary=summarize(cols, draws, rates, _start_notes(start)),
+        summary=summarize(cols, draws, rates),
         columns=cols, draws=draws)
 
 
@@ -547,5 +447,5 @@ def normal_hier_sample(data: DiscountData, priors: HyperPriors = HYPER,
     cols = ("mu_psi", "sigma2_psi", "sigma2",
             *(f"psi_{sid}" for sid in data.subject_ids))
     return NonlinearResult(
-        summary=summarize(cols, draws, rates, _start_notes(start)),
+        summary=summarize(cols, draws, rates),
         columns=cols, draws=draws)

@@ -77,6 +77,13 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
+def _out_file(out: str, name: str) -> str:
+    """Path of `name` in the output directory, which the first write
+    creates, so a refused command leaves nothing behind."""
+    os.makedirs(out, exist_ok=True)
+    return os.path.join(out, name)
+
+
 def _write_json(path: str, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -170,12 +177,26 @@ def _numbers_object(cls, what: str):
     return lambda obj: cls(**_read_config(obj, schema, what))
 
 
-_INT = (int, "an integer")
-_NUMBER = (float, "a number")
-_OPTIONAL_INT = (lambda v: None if v is None else int(v), "an integer")
-_NUMBERS = (_list_of(float), "a list of numbers")
+def _number(value) -> float:
+    """A JSON number; a boolean or a string is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(value)
+    return float(value)
+
+
+def _integer(value) -> int:
+    """A JSON number with an integral value, such as 20 or 20.0."""
+    if _number(value) != int(value):
+        raise ValueError(value)
+    return int(value)
+
+
+_INT = (_integer, "an integer")
+_NUMBER = (_number, "a number")
+_OPTIONAL_INT = (lambda v: None if v is None else _integer(v), "an integer")
+_NUMBERS = (_list_of(_number), "a list of numbers")
 _AS_GIVEN = (lambda v: v, "")  # checked where it is used
-_SEED = (*_AS_GIVEN, None)  # absent, resolve_seed falls back further
+_SEED = (*_OPTIONAL_INT, None)  # absent, resolve_seed falls back further
 
 # posterior rows each sampler reports for its group layers
 _GROUP_NAMES = {"sltb": ("mu_psi", "sigma2_psi", "mu_phi", "sigma2_phi"),
@@ -257,9 +278,9 @@ def cmd_fit(args):
     est = list(fit.coefficients) + [fit.log_precision]
     rows = [[nm, est[i], fit.se[i], fit.z[i], fit.p[i]]
             for i, nm in enumerate(names)]
-    write_csv(os.path.join(out, "coefficients.csv"),
+    write_csv(_out_file(out, "coefficients.csv"),
               ["term", "estimate", "se", "z", "p"], rows)
-    _write_json(os.path.join(out, "coefficients.json"), {
+    _write_json(_out_file(out, "coefficients.json"), {
         "family": fit.family,
         "converged": fit.converged,
         "loglik": fit.loglik,
@@ -272,11 +293,11 @@ def cmd_fit(args):
     })
     resid = residuals(fit, spec, data)
     y = data.numeric(spec.response)
-    write_csv(os.path.join(out, "residuals.csv"),
+    write_csv(_out_file(out, "residuals.csv"),
               ["row", "y", "fitted", "residual"],
               [[i + 1, y[i], y[i] - resid[i], resid[i]]
                for i in range(len(resid))])
-    _write_json(os.path.join(out, "mse.json"), mse_report(fit, spec, data))
+    _write_json(_out_file(out, "mse.json"), mse_report(fit, spec, data))
 
     config = {"family": args.family, "s": args.s, "l": args.l,
               "spec": asdict(spec)}
@@ -292,10 +313,10 @@ def cmd_simulate(args):
                        threads=args.threads)
 
     header, rows = records_table(report)
-    write_csv(os.path.join(args.out, "records.csv"), header, rows)
+    write_csv(_out_file(args.out, "records.csv"), header, rows)
     summary = report.to_dict(include_timing=False)
-    _write_json(os.path.join(args.out, "summary.json"), summary)
-    _write_json(os.path.join(args.out, "timing.json"),
+    _write_json(_out_file(args.out, "summary.json"), summary)
+    _write_json(_out_file(args.out, "timing.json"),
                 {"mean_fit_seconds": dict(report.mean_fit_seconds)})
 
     config = {**summary["config"], "methods": list(methods),
@@ -316,10 +337,10 @@ def cmd_hier_linear(args):
     res = run_chain(model, y, seed=seed, **lengths)
     _emit_warnings(res.summary)
 
-    write_csv(os.path.join(args.out, "draws.csv"), list(res.columns),
+    write_csv(_out_file(args.out, "draws.csv"), list(res.columns),
               [list(row) for row in res.draws])
     mse_val = posterior_predictive_mse(res, model, y)
-    _write_json(os.path.join(args.out, "summary.json"),
+    _write_json(_out_file(args.out, "summary.json"),
                 _summary_snapshot(res.summary,
                                   {"posterior_predictive_mse": mse_val}))
     config["spec"] = asdict(config["spec"])
@@ -352,7 +373,7 @@ def cmd_hier_nonlinear(args):
     else:
         data = gen_discount_data(
             seed=seed, **{key: cfg[key] for key in _SIMULATED}).data
-        write_csv(os.path.join(args.out, "data.csv"), data.to_table())
+        write_csv(_out_file(args.out, "data.csv"), data.to_table())
         config.update({
             "source": "simulated", "nsubj": data.n_subjects,
             "delays": list(data.delays), "truth": asdict(cfg["truth"]),
@@ -364,12 +385,12 @@ def cmd_hier_nonlinear(args):
         sample = sltb_hier_sample if name == "sltb" else normal_hier_sample
         res = sample(data, cfg["priors"], seed=seed + offset, **lengths)
         _emit_warnings(res.summary)
-        write_csv(os.path.join(args.out, f"draws_{name}.csv"),
+        write_csv(_out_file(args.out, f"draws_{name}.csv"),
                   list(res.columns), [list(row) for row in res.draws])
-        _write_json(os.path.join(args.out, f"summary_{name}.json"),
+        _write_json(_out_file(args.out, f"summary_{name}.json"),
                     _summary_snapshot(res.summary))
         report[name] = {g: res.summary.row(g) for g in _GROUP_NAMES[name]}
-    _write_json(os.path.join(args.out, "report.json"), report)
+    _write_json(_out_file(args.out, "report.json"), report)
 
     command = ["hier-nonlinear"] + ([args.data] if args.data else [])
     return command, config, seed, [args.data, args.config]
@@ -400,7 +421,7 @@ def cmd_density(args):
                 "no density.csv written")
     beta_col = np.full(args.grid_n, None)  # beta is undefined at 0 and 1
     beta_col[interior] = beta_vals
-    write_csv(os.path.join(args.out, "density.csv"),
+    write_csv(_out_file(args.out, "density.csv"),
               ["g", "sltb_pdf", "beta_pdf"], zip(g, dens, beta_col))
     config = {"mu": args.mu, "phi": args.phi, "s": s, "l": l,
               "grid_n": args.grid_n, "preset": args.preset}
@@ -475,9 +496,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = _utc_now()
     try:
-        os.makedirs(args.out, exist_ok=True)
         command, config, seed, inputs = args.handler(args)
-        _write_json(os.path.join(args.out, "manifest.json"), {
+        _write_json(_out_file(args.out, "manifest.json"), {
             "command": command, "config": config, "seed": seed,
             "version": __version__,
             "inputs": {p: _sha256(p) for p in inputs if p is not None},

@@ -88,6 +88,19 @@ class TabularDataset:
             raise ValidationError(f"unknown column '{name}'")
 
 
+def round_responses(y: np.ndarray, decimals: Optional[int]) -> np.ndarray:
+    """`y` rounded to `decimals` places (ties to even), or `y` itself for
+    None: how the data generators put exact 0s and 1s into draws on (0, 1).
+
+    A negative count is refused, since it would round every response to 0.
+    """
+    if decimals is None:
+        return y
+    if decimals < 0:
+        raise ValidationError("rounding_decimals must be >= 0 or None")
+    return np.round(y, decimals)
+
+
 def read_csv(path: str) -> TabularDataset:
     """Read a strict comma-separated table (UTF-8, header row, '.' decimal)."""
     with open(path, "r", encoding="utf-8", newline="") as fh:

@@ -400,6 +400,15 @@ def residuals(fit: FitResult, spec: RegressionSpec,
 _SUBSETS = ("all", "boundary_ones", "boundary_zeros")
 
 
+def _subset_mse(y: np.ndarray, r: np.ndarray, subset: str) -> float:
+    """Mean squared residual over the rows of `subset`; NaN if it has none."""
+    mask = {"all": np.ones_like(y, dtype=bool), "boundary_ones": y == 1.0,
+            "boundary_zeros": y == 0.0}[subset]
+    if not mask.any():
+        return float("nan")
+    return float(np.mean(r[mask] ** 2))
+
+
 def mse(fit: FitResult, spec: RegressionSpec, data: TabularDataset,
         subset: str = "all") -> float:
     """Mean squared error, optionally restricted to exact-boundary rows.
@@ -408,27 +417,20 @@ def mse(fit: FitResult, spec: RegressionSpec, data: TabularDataset,
     """
     if subset not in _SUBSETS:
         raise ValidationError(f"subset must be one of {_SUBSETS}, got {subset!r}")
-    y = response_vector(spec, data)
-    r = residuals(fit, spec, data)
-    if subset == "boundary_ones":
-        mask = y == 1.0
-    elif subset == "boundary_zeros":
-        mask = y == 0.0
-    else:
-        mask = np.ones_like(y, dtype=bool)
-    if not mask.any():
-        return float("nan")
-    return float(np.mean(r[mask] ** 2))
+    return _subset_mse(response_vector(spec, data),
+                       residuals(fit, spec, data), subset)
 
 
 def mse_report(fit: FitResult, spec: RegressionSpec,
-               data: TabularDataset) -> Dict[str, float]:
+               data: TabularDataset) -> Dict[str, Optional[float]]:
+    """MSE overall and on each exact-boundary subset, with the row counts;
+    an empty subset's MSE is None, which JSON writes as null."""
     y = response_vector(spec, data)
-    return {
-        "overall": mse(fit, spec, data, "all"),
-        "boundary_ones": mse(fit, spec, data, "boundary_ones"),
-        "boundary_zeros": mse(fit, spec, data, "boundary_zeros"),
-        "n": int(y.size),
-        "n_ones": int(np.sum(y == 1.0)),
-        "n_zeros": int(np.sum(y == 0.0)),
-    }
+    r = residuals(fit, spec, data)
+    report = {}
+    for key, subset in (("overall", "all"), ("boundary_ones", "boundary_ones"),
+                        ("boundary_zeros", "boundary_zeros")):
+        value = _subset_mse(y, r, subset)
+        report[key] = None if np.isnan(value) else value
+    return {**report, "n": int(y.size), "n_ones": int(np.sum(y == 1.0)),
+            "n_zeros": int(np.sum(y == 0.0))}

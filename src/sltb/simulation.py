@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import expit
 
-from .data import TabularDataset
+from .data import TabularDataset, round_responses
 from .errors import SltbError, ValidationError
 from .kernel import Rng
 from .regression import (
@@ -48,8 +48,7 @@ class SimConfig:
             raise ValidationError("beta_true needs exactly four coefficients")
         if not self.phi_true > 0:
             raise ValidationError("phi_true must be positive")
-        if self.rounding_decimals is not None and self.rounding_decimals < 0:
-            raise ValidationError("rounding_decimals must be >= 0 or None")
+        round_responses(np.empty(0), self.rounding_decimals)  # refuses < 0
         object.__setattr__(self, "beta_true", tuple(float(b) for b in self.beta_true))
 
 
@@ -112,9 +111,8 @@ def gen_dataset(cfg: SimConfig, rep_index: int) -> TabularDataset:
     b0, b1, b2, b3 = cfg.beta_true
     mu = expit(b0 + b1 * x1 + b2 * x2 + b3 * x1 * x2)
     y = np.asarray(rng.beta(mu * cfg.phi_true, (1.0 - mu) * cfg.phi_true))
-    if cfg.rounding_decimals is not None:
-        y = np.round(y, cfg.rounding_decimals)  # ties round half to even
-    return TabularDataset({"x1": x1, "x2": x2, "y": y})
+    return TabularDataset({"x1": x1, "x2": x2,
+                           "y": round_responses(y, cfg.rounding_decimals)})
 
 
 def _run_one_rep(cfg: SimConfig, rep_index: int,

@@ -453,6 +453,10 @@ def test_fixture_rounding_collapses_small_draws_to_zero():
     assert (y == 0.0).sum() >= 20
     assert (y == 1.0).sum() == 0
     assert y.min() == 0.0 and y.max() < 1.0
+    # rounding to tens would set every response to 0
+    with pytest.raises(ValidationError,
+                       match=r"rounding_decimals must be >= 0 or None"):
+        gen_alcohol_fixture(n_counties=4, rows=40, rounding_decimals=-1)
 
 
 def test_build_hier_model(small_fixture):

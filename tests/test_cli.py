@@ -149,6 +149,23 @@ def test_fit_outputs(fit_files, tmp_path):
     assert manifest["seed"] is None
 
 
+def test_fit_mse_json_is_strict_json(fit_files, tmp_path):
+    # the fixture holds exact 1s but no exact 0, so one subset is empty
+    out = tmp_path / "out"
+    assert main(["fit", "--data", str(fit_files / "data.csv"),
+                 "--spec", str(fit_files / "spec.json"),
+                 "--out", str(out)]) == EXIT_OK
+
+    def refuse(name):
+        raise ValueError(f"{name} in mse.json")
+
+    report = json.loads((out / "mse.json").read_text(),
+                        parse_constant=refuse)
+    assert report["n_ones"] > 0 and report["n_zeros"] == 0
+    assert report["boundary_ones"] > 0.0 and report["overall"] > 0.0
+    assert report["boundary_zeros"] is None
+
+
 def test_fit_replay_byte_identical(fit_files, tmp_path):
     outs = []
     for tag in ("a", "b"):
@@ -471,11 +488,28 @@ _FIT = ["fit", "--data", "@fit-data", "--spec", "@fit-spec"]
      EXIT_VALIDATION, "scale s must be finite and positive, got inf"),
     (["hier-nonlinear"], {"nsubj": 3, "iters": 50, "burnin": 50},
      EXIT_VALIDATION, "iters must exceed burnin"),
+    (["simulate"], {"n": 20.9, "reps": 2}, EXIT_VALIDATION,
+     "config 'n' must be an integer, got 20.9"),
+    (["simulate"], {"n": 20, "reps": True}, EXIT_VALIDATION,
+     "config 'reps' must be an integer, got True"),
+    (["simulate"], {"n": 20, "reps": 2, "rounding_decimals": 1.5},
+     EXIT_VALIDATION, "config 'rounding_decimals' must be an integer, got 1.5"),
+    (["hier-nonlinear"], {"nsubj": 3, "delays": [1, "7", 30]},
+     EXIT_VALIDATION,
+     "config 'delays' must be a list of numbers, got [1, '7', 30]"),
+    (["hier-nonlinear"], {"nsubj": 3, "truth": {"mu_psi": True}},
+     EXIT_VALIDATION, "truth 'mu_psi' must be a number, got True"),
+    (["simulate"], {"n": 20, "reps": 2, "base_seed": "3"}, EXIT_VALIDATION,
+     "config 'base_seed' must be an integer, got '3'"),
+    (["hier-nonlinear"], {"nsubj": 3, "rounding_decimals": -1},
+     EXIT_VALIDATION, "rounding_decimals must be >= 0 or None"),
 ], ids=["density-tiny-phi", "spec-without-response", "iters-not-int",
         "prior-not-number", "n-not-int", "beta-true-not-list",
         "rounding-not-int", "methods-not-list", "delays-not-list",
         "models-not-list", "fit-s-below-one", "fit-l-negative", "fit-s-nan",
-        "fit-l-inf", "density-s-inf", "nonlinear-iters-not-above-burnin"])
+        "fit-l-inf", "density-s-inf", "nonlinear-iters-not-above-burnin",
+        "n-not-integral", "reps-bool", "rounding-not-integral",
+        "delay-string", "truth-bool", "seed-string", "rounding-negative"])
 def test_malformed_input_exits_with_message(argv, config, code, message,
                                             alcohol_csv, fit_files, tmp_path,
                                             capsys):
@@ -492,7 +526,7 @@ def test_malformed_input_exits_with_message(argv, config, code, message,
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
-    assert not out.exists() or not any(out.iterdir())  # nothing written
+    assert not out.exists()  # nothing written, not even the directory
 
 
 # --- resolved defaults ----------------------------------------------------------
