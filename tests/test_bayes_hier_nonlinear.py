@@ -327,7 +327,7 @@ def test_initialize_deterministic():
 def _scipy_subject_mles(data):
     """Oracle: one scipy Nelder-Mead per subject from its psi-grid seed at
     ln phi = ln 10, as the chain start once fitted them; a failed fit
-    keeps its seed."""
+    keeps its seed. Returns the fits and which subjects were fitted."""
     delays = np.asarray(data.delays)
     ln_phi0 = np.log(10.0)
 
@@ -342,7 +342,7 @@ def _scipy_subject_mles(data):
                                          DEFAULT_L, y).sum())
         return -total if np.isfinite(total) else np.inf
 
-    fits = []
+    fits, fitted = [], []
     for y in data.y:
         best = _PSI_GRID[int(np.argmin(
             [nll(np.array([p, ln_phi0]), y) for p in _PSI_GRID]))]
@@ -351,7 +351,8 @@ def _scipy_subject_mles(data):
             options={"maxiter": 400, "xatol": 1e-6, "fatol": 1e-9})
         ok = res.success and np.isfinite(res.x).all() and np.isfinite(res.fun)
         fits.append(res.x if ok else (best, ln_phi0))
-    return np.array(fits)
+        fitted.append(ok)
+    return np.array(fits), np.array(fitted)
 
 
 def _edge_subjects():
@@ -361,22 +362,36 @@ def _edge_subjects():
     return DiscountData(y=y, delays=DEFAULT_DELAYS, subject_ids=tuple("abcdef"))
 
 
-def test_grid_start_sits_where_the_subject_mles_do():
-    # the start uses its per-subject estimates only through their mean and
-    # spread; on the grid both stay close to those of the per-subject MLEs
-    step = _PSI_GRID[1] - _PSI_GRID[0]
-    step_phi = _LN_PHI_GRID[1] - _LN_PHI_GRID[0]
-    for seed in (0, 5):
-        data = gen_discount_data(nsubj=100, seed=seed).data
-        psi, ln_phi = _grid_estimates(data, DEFAULT_S, DEFAULT_L)
-        mles = _scipy_subject_mles(data)
-        assert abs(psi.mean() - mles[:, 0].mean()) < step
-        assert abs(psi.std() - mles[:, 0].std()) < 0.25
-        assert abs(ln_phi.mean() - mles[:, 1].mean()) < step_phi
-        assert abs(ln_phi.std() - mles[:, 1].std()) < 0.25
-    # subjects without a finite optimum still get a start both samplers
-    # can score
-    data = _edge_subjects()
+@pytest.mark.parametrize("data, population", [
+    (gen_discount_data(nsubj=100).data, True),
+    (gen_discount_data(nsubj=100, seed=5).data, True),
+    (gen_discount_data(nsubj=100, seed=3, rounding_decimals=2).data, True),
+    (_edge_subjects(), False),
+], ids=["default", "seed-5", "two-decimals", "flat-and-zero"])
+def test_batched_start_is_scipys_per_subject_loop(data, population):
+    # the batched grid start against scipy's per-subject Nelder-Mead loop
+    psi, ln_phi = _grid_estimates(data, DEFAULT_S, DEFAULT_L)
+    mles, fitted = _scipy_subject_mles(data)
+    assert fitted.all() == population
+    if population:
+        # the start uses its per-subject estimates only through their mean
+        # and spread; on the grid both stay close to those of the
+        # per-subject MLEs. The grid reaches only its own box, so the MLEs
+        # are clipped to it: a rounded subject whose likelihood climbs
+        # toward phi -> 0 has its MLE far outside
+        step = _PSI_GRID[1] - _PSI_GRID[0]
+        step_phi = _LN_PHI_GRID[1] - _LN_PHI_GRID[0]
+        want_psi = np.clip(mles[:, 0], _PSI_GRID[0], _PSI_GRID[-1])
+        want_phi = np.clip(mles[:, 1], _LN_PHI_GRID[0], _LN_PHI_GRID[-1])
+        assert abs(psi.mean() - want_psi.mean()) < step
+        assert abs(psi.std() - want_psi.std()) < 0.25
+        assert abs(ln_phi.mean() - want_phi.mean()) < step_phi
+        assert abs(ln_phi.std() - want_phi.std()) < 0.25
+    else:
+        # the all-zero subjects have no finite optimum
+        assert np.flatnonzero(~fitted).tolist() == [2, 4]
+    # every subject, with or without a finite optimum, gets a start both
+    # samplers can score
     start = initialize_chain(data, Rng(1))
     assert np.isfinite(sltb_subject_logliks(
         start.psi, start.ln_phi, data, DEFAULT_S, DEFAULT_L)).all()
