@@ -53,7 +53,6 @@ from .distributions import (
     BetaMuPhi,
     SltbParams,
     beta_logpdf,
-    sl_pdf,
     sltb_cdf,
     sltb_logpdf,
     sltb_mean,

@@ -92,10 +92,10 @@ def rw_update(rng: Rng, x: np.ndarray, center: float, var: float,
             accept)
 
 
-def summarize(cols: Tuple[str, ...], draws: np.ndarray, rates: Dict[str, float],
-              notes: Tuple[str, ...] = ()) -> PosteriorSummary:
-    """Means and quantiles of every column; `notes` lead the warnings,
-    then one per block whose rate lies outside [0.05, 0.95]."""
+def summarize(cols: Tuple[str, ...], draws: np.ndarray,
+              rates: Dict[str, float]) -> PosteriorSummary:
+    """Means and quantiles of every column, and one warning per block
+    whose rate lies outside [0.05, 0.95]."""
     q = np.quantile(draws, [0.25, 0.5, 0.75, 0.025, 0.975], axis=0)
     warns = tuple(
         f"block {name}: post-burn-in acceptance rate {r:.3f} outside [0.05, 0.95]"
@@ -103,4 +103,4 @@ def summarize(cols: Tuple[str, ...], draws: np.ndarray, rates: Dict[str, float],
     return PosteriorSummary(
         names=cols, mean=draws.mean(axis=0), q1=q[0], median=q[1], q3=q[2],
         q025=q[3], q975=q[4], acceptance_rates=rates, n_draws=draws.shape[0],
-        warnings=(*notes, *warns))
+        warnings=warns)

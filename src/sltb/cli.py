@@ -283,6 +283,8 @@ def cmd_fit(args):
     _write_json(_out_file(out, "coefficients.json"), {
         "family": fit.family,
         "converged": fit.converged,
+        "evaluations": fit.evaluations,
+        "score_max": fit.score_max,
         "loglik": fit.loglik,
         "phi": fit.phi(),
         "s": fit.s,
@@ -297,7 +299,7 @@ def cmd_fit(args):
               ["row", "y", "fitted", "residual"],
               [[i + 1, y[i], y[i] - resid[i], resid[i]]
                for i in range(len(resid))])
-    _write_json(_out_file(out, "mse.json"), mse_report(fit, spec, data))
+    _write_json(_out_file(out, "mse.json"), mse_report(fit, spec, data, resid))
 
     config = {"family": args.family, "s": args.s, "l": args.l,
               "spec": asdict(spec)}

@@ -39,6 +39,13 @@ _SUPPORT_TOL = 4.0 * np.finfo(float).eps
 _SKIP_GAP = 41.0
 _SKIP_MIN_ROWS = 256
 
+# most series terms `_tail_log_partials` sums for one normalizer tail, how
+# many it sums in one array operation, and the powers of x it tries as the
+# ratio the terms fall to
+_TERM_CAP = 4000
+_TERM_BLOCK = 64
+_RHO_POWERS = 0.5 ** np.arange(1, 6)
+
 
 # ---------------------------------------------------------------------------
 # parameter types
@@ -193,6 +200,95 @@ def sltb_log_normalizer_arrays(mu, phi, s, l):
         return np.log1p(-np.minimum(tail, 1.0))
 
 
+def _tail_log_partials(p, q, x):
+    """(d ln I/dp, d ln I/dq) for the tails I = I_x(p, q), with x a column
+    that holds one positive point per leading row of p and q.
+
+    DLMF 8.17.8: I = x^p (1-x)^q / (p B(p,q)) * S with S = sum_k t_k,
+    t_0 = 1, t_k+1 = t_k (p+q+k) x / (p+1+k), all terms positive. So
+    d ln I/dp = ln x - psi(p+1) + psi(p+q) + S_p/S and
+    d ln I/dq = ln(1-x) - psi(q) + psi(p+q) + S_q/S, where S_p and S_q sum
+    the terms weighted by their own log-partials. For any rho in (x, 1)
+    the ratio is at most rho after K = (x(p+q) - rho(p+1)) / (rho - x)
+    terms, and `_series_terms(rho)` more make every remainder negligible;
+    each row takes the least such count over rho = x^(1/2), x^(1/4), ...,
+    x^(1/32), and one term count, the largest any row needs, serves the
+    whole call, summed _TERM_BLOCK terms at a time. A row that would need
+    more than _TERM_CAP terms (x not small, phi large, and the row's mean
+    just inside the tail) is NaN, never a truncated sum.
+    """
+    pq, p1 = p + q, p + 1.0
+    rho = x ** _RHO_POWERS.reshape((-1,) + (1,) * x.ndim)
+    ramp = np.maximum(x * pq - rho * p1, 0.0) / (rho - x)  # terms to reach rho
+    need = (ramp + _series_terms(rho, 1.0 / min(pq.min(), 1.0))).min(axis=0)
+    n_need = math.ceil(need.max())
+    n_terms = min(n_need, _TERM_CAP)
+    t, u_p, u_q = np.ones(pq.shape), np.zeros(pq.shape), np.zeros(pq.shape)
+    s, s_p, s_q = np.ones(pq.shape), np.zeros(pq.shape), np.zeros(pq.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0 in range(0, n_terms, _TERM_BLOCK):
+            # term k+1 is term k times (p+q+k) x / (p+1+k)
+            k = np.arange(k0, min(k0 + _TERM_BLOCK, n_terms)).reshape(
+                (-1,) + (1,) * pq.ndim)
+            pq_k, p1_k = pq + k, p1 + k
+            t = t * np.cumprod(pq_k * x / p1_k, axis=0)
+            u_p = u_p + np.cumsum((1.0 - q) / (pq_k * p1_k), axis=0)
+            u_q = u_q + np.cumsum(1.0 / pq_k, axis=0)
+            s += t.sum(axis=0)
+            s_p += (t * u_p).sum(axis=0)
+            s_q += (t * u_q).sum(axis=0)
+            t, u_p, u_q = t[-1], u_p[-1], u_q[-1]
+        psi_pq = _sp.digamma(pq)
+        d_p = np.log(x) - _sp.digamma(p1) + psi_pq + s_p / s
+        d_q = np.log1p(-x) - _sp.digamma(q) + psi_pq + s_q / s
+    if n_need > n_terms:
+        bad = need > n_terms
+        d_p, d_q = np.where(bad, np.nan, d_p), np.where(bad, np.nan, d_q)
+    return d_p, d_q
+
+
+def _series_terms(rho, c: float):
+    """Terms past ratio rho that bound the remainder of S, S_p and S_q
+    below 1e-17 of S, when each term's log-partial is at most c per term:
+    the least n with rho^n (1 + c (_TERM_CAP + 1/(1-rho))) / (1-rho) <= 1e-17."""
+    bound = (1.0 + c * (_TERM_CAP + 1.0 / (1.0 - rho))) / (1.0 - rho)
+    return np.maximum(np.ceil(np.log(1e-17 / bound) / np.log(rho)), 0.0)
+
+
+def sltb_log_normalizer_partials(mu, phi, s, l):
+    """Partials of ln Z, Z = 1 - I_l(a,b) - I_eps(b,a), in the shapes
+    a = mu*phi and b = (1-mu)*phi, with eps = 1 - (1/s + l).
+
+    Each tail's partials are its `betainc` value, the one the density's
+    normalizer takes, times its log-partials from `_tail_log_partials`,
+    and Z is formed from the same two values. So the result is finite
+    wherever the log-density is, except on rows whose series needs more
+    than its term cap, where it is NaN. A tail that underflows to 0
+    contributes 0. No domain checking; callers guarantee 0 < mu < 1 and
+    finite phi > 0.
+    """
+    a = mu * phi
+    b = (1.0 - mu) * phi
+    if np.shape(a) != np.shape(b):
+        a, b = np.broadcast_arrays(a, b)
+    # the lower tail I_l(a, b) and the upper I_eps(b, a); a tail at x = 0 is 0
+    p, q = np.stack((a, b)), np.stack((b, a))
+    x = np.array([l, (s - 1.0 - l * s) / s]).reshape((2,) + (1,) * np.ndim(a))
+    tail = _sp.betainc(p, q, x)
+    if (x > 0.0).all():
+        d_p, d_q = _tail_log_partials(p, q, x)
+    else:
+        d_p, d_q = np.zeros((2,) + p.shape)
+        live = x.ravel() > 0.0
+        if live.any():
+            d_p[live], d_q[live] = _tail_log_partials(p[live], q[live], x[live])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_p = np.where(tail > 0.0, tail * d_p, 0.0)
+        d_q = np.where(tail > 0.0, tail * d_q, 0.0)
+        inv_z = -1.0 / (1.0 - (tail[0] + tail[1]))
+        return (d_p[0] + d_q[1]) * inv_z, (d_q[0] + d_p[1]) * inv_z
+
+
 def sltb_logpdf_arrays(mu, phi, s, l, g, logs=None):
     """SLTB log-density, vectorized over any broadcastable mix of mu, phi
     and g; s and l are scalars.
@@ -262,27 +358,6 @@ def beta_logpdf(p: BetaMuPhi, y: float) -> float:
             "degenerates at exact 0 or 1"
         )
     return float(beta_logpdf_arrays(p.mu, p.phi, y))
-
-
-def sl_pdf(p: SltbParams, z: float) -> float:
-    """Density of the scale-location transformed variable z = (y - l)*s
-    before truncation: (1/s) * f_beta(z/s + l)."""
-    lo = -p.l * p.s
-    hi = (1.0 - p.l) * p.s
-    if not (lo - _SUPPORT_TOL <= z <= hi + _SUPPORT_TOL):
-        raise DomainError(f"z={z} outside transformed support [{lo}, {hi}]")
-    x = z / p.s + p.l
-    a, b = p.alpha(), p.beta_shape()
-    if x <= 0.0 or x >= 1.0:
-        # exact support endpoint: return the limiting density value
-        shape = a if x <= 0.0 else b
-        if shape > 1.0:
-            return 0.0
-        if shape < 1.0:
-            return math.inf
-        # shape == 1: the x-power vanishes and the other factor tends to 1
-        return math.exp(_sp.gammaln(a + b) - _sp.gammaln(a) - _sp.gammaln(b)) / p.s
-    return float(np.exp(beta_logpdf_arrays(p.mu, p.phi, x))) / p.s
 
 
 def sltb_logpdf(p: SltbParams, g):

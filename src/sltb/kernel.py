@@ -1,8 +1,9 @@
 """Numeric kernel: the seedable RNG and the central-difference Hessian.
 
 ``Rng`` is the package's one source of randomness; every generator and
-sampler takes one. ``numeric_hessian`` gives ``fit_mle`` its observed
-information.
+sampler takes one. ``numeric_hessian`` gives ``fit_mle`` the observed
+information behind its Wald standard errors, and nothing else: the
+optimizer itself steps on the analytic ``regression.score``.
 """
 
 from __future__ import annotations

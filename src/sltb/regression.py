@@ -16,6 +16,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 import numpy as np
 from scipy import linalg as _la
 from scipy import optimize as _opt
+from scipy import special as _sp
 from scipy.special import expit, logit, ndtr
 
 from . import kernel
@@ -26,6 +27,7 @@ from .distributions import (
     beta_logpdf_arrays,
     check_scale_location,
     log_x_pair,
+    sltb_log_normalizer_partials,
     sltb_logpdf_arrays,
 )
 from .errors import (
@@ -68,11 +70,14 @@ class FitResult:
 
     `coefficients` holds beta in design order; `log_precision` is eta.
     se/z/p cover the full theta vector (coefficients then eta), matching
-    the rows of `vcov`. `fit_seconds` times the two optimizer calls only,
-    not the warm start, the convergence check or the Hessian.
-    `loglik_trace` holds the log-likelihood at the warm start, then one
-    entry per optimizer iteration; `iterations` counts those iterations,
-    so it is ``len(loglik_trace) - 1``.
+    the rows of `vcov`. `fit_seconds` times the one optimizer call only,
+    not the warm start or the Hessian. `loglik_trace` holds the
+    log-likelihood at the start, then the optimizer's own value at each of
+    its iterates; `iterations` counts those iterations, so it is
+    ``len(loglik_trace) - 1``. `evaluations` counts the optimizer's calls
+    of the objective, each one log-likelihood and one `score`, and
+    `score_max` is the largest |score| at the optimum scaled by
+    max(1, |loglik|), the figure the convergence test reads.
     """
 
     family: str
@@ -90,6 +95,8 @@ class FitResult:
     l: float
     fit_seconds: float
     loglik_trace: Tuple[float, ...] = ()
+    evaluations: int = 0
+    score_max: float = float("nan")
 
     def phi(self) -> float:
         return float(np.exp(self.log_precision))
@@ -245,6 +252,38 @@ def loglik_sltb(theta: np.ndarray, X: np.ndarray, y: np.ndarray,
                    sltb_logpdf_arrays(mu, phi, s, l, y, logs))
 
 
+def score(theta: np.ndarray, X: np.ndarray, y: np.ndarray, family: str = "sltb",
+          s: float = DEFAULT_S, l: float = DEFAULT_L,
+          logs: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> np.ndarray:
+    """Gradient in theta of `loglik_sltb` (family "sltb") or `loglik_beta`.
+
+    Per row, d/da = psi(a+b) - psi(a) + ln x - d ln Z/da and
+    d/db = psi(a+b) - psi(b) + ln(1-x) - d ln Z/db, where x is the beta
+    argument (y for the beta family, whose Z is 1) and the partials of
+    ln Z come from `sltb_log_normalizer_partials`. Through a = mu*phi,
+    b = (1-mu)*phi, mu = expit(X beta) and phi = exp(eta) they give
+    X^T [phi mu (1-mu) (d/da - d/db)] and sum(a d/da + b d/db). No domain
+    checking: the caller evaluates `loglik_*` at theta first, which checks
+    the response, and asks for the score only where that is finite. Rows
+    whose normalizer series is over its term cap make the score NaN.
+    `logs` is as in `loglik_sltb`.
+    """
+    beta, eta = _theta_parts(theta, X)
+    mu = expit(_linear_predictor(beta, X))
+    phi = math.exp(eta)
+    a, b = mu * phi, (1.0 - mu) * phi
+    if family == "beta":
+        ln_x, ln_1mx, z_a, z_b = np.log(y), np.log1p(-y), 0.0, 0.0
+    else:
+        ln_x, ln_1mx = log_x_pair(y, s, l)[2:] if logs is None else logs
+        z_a, z_b = sltb_log_normalizer_partials(mu, phi, s, l)
+    psi_phi = _sp.digamma(phi)
+    d_a = psi_phi - _sp.digamma(a) + ln_x - z_a
+    d_b = psi_phi - _sp.digamma(b) + ln_1mx - z_b
+    return np.append(X.T @ (a * (1.0 - mu) * (d_a - d_b)),
+                     np.sum(a * d_a + b * d_b))
+
+
 # ---------------------------------------------------------------------------
 # fitting
 # ---------------------------------------------------------------------------
@@ -258,7 +297,13 @@ def warm_start(X: np.ndarray, y: np.ndarray, l: float) -> np.ndarray:
 
 def fit_mle(spec: RegressionSpec, data: TabularDataset, family: str = "sltb",
             s: float = DEFAULT_S, l: float = DEFAULT_L) -> FitResult:
-    """Two-phase maximizer: simplex for robustness, quasi-Newton to polish.
+    """Maximize the log-likelihood by BFGS on its analytic `score`.
+
+    The start is `warm_start` on the response squeezed to
+    (y(n-1) + 1/2)/n (Smithson & Verkuilen 2006), so that rows at exact 0
+    or 1 do not pull the least-squares line to the clipping limits. The
+    fit has converged when BFGS reports success or the largest |score| at
+    its point, scaled by max(1, |loglik|), is below 1e-4.
 
     Wald machinery: vcov is the inverse numeric Hessian of the negative
     log-likelihood at the optimum, z = estimate/se, p two-sided normal.
@@ -275,6 +320,7 @@ def fit_mle(spec: RegressionSpec, data: TabularDataset, family: str = "sltb",
                 "family=beta requires an interior-only response; boundary rows: "
                 + ", ".join(str(int(i)) for i in boundary[:10]),
                 rows=tuple(int(i) for i in boundary))
+        logs = None
 
         def ll(theta):
             return loglik_beta(theta, X, y)
@@ -291,34 +337,43 @@ def fit_mle(spec: RegressionSpec, data: TabularDataset, family: str = "sltb",
             return np.inf
         return -ll(theta)
 
-    theta0 = warm_start(X, y, l)
-    trace = [ll(theta0)]
+    trace = []
+
+    def objective(theta):
+        value = negll(theta)
+        if not trace:
+            trace.append(-value)  # the start; the first call evaluates it
+        if np.isfinite(value):
+            grad = -score(theta, X, y, family, s, l, logs)
+            if np.isfinite(grad).all():
+                return value, grad
+        # no usable score here (see `score`): the line search backs off
+        return np.inf, np.zeros_like(theta)
 
     def record(intermediate_result):
         # the optimizer's own value at the iterate, so tracing costs no evaluation
         trace.append(-intermediate_result.fun)
 
+    n = y.size
+    theta0 = warm_start(X, (y * (n - 1) + 0.5) / n, l)
     t0 = time.perf_counter()
     with np.errstate(invalid="ignore"):
         # line searches probe infeasible points; inf arithmetic there is expected
-        nm = _opt.minimize(
-            negll, theta0, method="Nelder-Mead", callback=record,
-            options={"maxiter": 4000, "xatol": 1e-7, "fatol": 1e-10, "adaptive": True})
-        qn = _opt.minimize(
-            negll, nm.x, method="BFGS", callback=record,
-            options={"maxiter": 500, "gtol": 1e-7})
+        # the score sums n rows, so its rounding floor grows with n; below
+        # about 5e-8 per row, steps only fail their line searches
+        qn = _opt.minimize(objective, theta0, method="BFGS", jac=True,
+                           callback=record,
+                           options={"maxiter": 500, "gtol": 5e-8 * n})
     elapsed = time.perf_counter() - t0
 
-    theta_hat = qn.x if qn.fun <= nm.fun else nm.x
-    best = float(ll(theta_hat))
-    grad = _numeric_gradient(ll, theta_hat)
-    scale = max(1.0, abs(best))
-    grad_ok = float(np.max(np.abs(grad))) / scale < 1e-4
-    converged = bool(nm.success or qn.success or grad_ok)
+    theta_hat = qn.x
+    best = -float(qn.fun)
+    score_max = float(np.max(np.abs(qn.jac))) / max(1.0, abs(best))
+    converged = math.isfinite(best) and bool(qn.success or score_max < 1e-4)
     if not converged:
         raise ConvergenceError(
             f"optimizer failed to converge after {len(trace) - 1} iterations "
-            f"(scaled gradient max {np.max(np.abs(grad)) / scale:.3e})",
+            f"(scaled score max {score_max:.3e})",
             best_point=theta_hat, best_value=best)
 
     try:
@@ -359,19 +414,9 @@ def fit_mle(spec: RegressionSpec, data: TabularDataset, family: str = "sltb",
         l=float(l),
         fit_seconds=float(elapsed),
         loglik_trace=tuple(float(v) for v in trace),
+        evaluations=int(qn.nfev),
+        score_max=score_max,
     )
-
-
-def _numeric_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        step = h * (1.0 + abs(x[i]))
-        up, dn = x.copy(), x.copy()
-        up[i] += step
-        dn[i] -= step
-        g[i] = (f(up) - f(dn)) / (2.0 * step)
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -421,12 +466,13 @@ def mse(fit: FitResult, spec: RegressionSpec, data: TabularDataset,
                        residuals(fit, spec, data), subset)
 
 
-def mse_report(fit: FitResult, spec: RegressionSpec,
-               data: TabularDataset) -> Dict[str, Optional[float]]:
+def mse_report(fit: FitResult, spec: RegressionSpec, data: TabularDataset,
+               resid: Optional[np.ndarray] = None) -> Dict[str, Optional[float]]:
     """MSE overall and on each exact-boundary subset, with the row counts;
-    an empty subset's MSE is None, which JSON writes as null."""
+    an empty subset's MSE is None, which JSON writes as null. A caller that
+    has the fit's `residuals` on `data` already passes them as `resid`."""
     y = response_vector(spec, data)
-    r = residuals(fit, spec, data)
+    r = residuals(fit, spec, data) if resid is None else resid
     report = {}
     for key, subset in (("overall", "all"), ("boundary_ones", "boundary_ones"),
                         ("boundary_zeros", "boundary_zeros")):

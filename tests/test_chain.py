@@ -64,11 +64,10 @@ def test_rw_update_rejects_unusable_proposals():
     assert np.array_equal(out, x) and np.array_equal(lik, cur)
 
 
-def test_summarize_puts_notes_before_rate_warnings():
+def test_summarize_warns_on_rates_outside_the_band():
     draws = np.arange(12.0).reshape(6, 2)
-    s = summarize(("p", "q"), draws, {"p": 0.5, "q": 0.99}, notes=("start",))
+    s = summarize(("p", "q"), draws, {"p": 0.5, "q": 0.99})
     assert s.warnings == (
-        "start",
-        "block q: post-burn-in acceptance rate 0.990 outside [0.05, 0.95]")
+        "block q: post-burn-in acceptance rate 0.990 outside [0.05, 0.95]",)
     assert s.n_draws == 6
     assert s.row("q")["median"] == float(np.median(draws[:, 1]))

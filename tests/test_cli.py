@@ -135,6 +135,9 @@ def test_fit_outputs(fit_files, tmp_path):
     assert [r["term"] for r in coefs] == [
         "(Intercept)", "x1", "x2", "x1:x2", "log_phi"]
     assert all(float(r["se"]) > 0 for r in coefs)
+    doc = json.loads((out / "coefficients.json").read_text())
+    assert doc["converged"] and doc["evaluations"] > 0
+    assert 0.0 <= doc["score_max"] < 1e-4
     resid = _read_rows(out / "residuals.csv")
     assert len(resid) == 60
     back = [float(r["y"]) - float(r["fitted"]) for r in resid]

@@ -27,7 +27,6 @@ from sltb.distributions import (
     BetaMuPhi,
     SltbParams,
     beta_logpdf,
-    sl_pdf,
     sltb_cdf,
     sltb_logpdf,
     sltb_mean,
@@ -60,6 +59,27 @@ def mp_normalizer(mu: float, phi: float, s: float, l: float) -> mpmath.mpf:
     a, b = mu * phi, (1 - mu) * phi
     return mpmath.betainc(a, b, 0, 1 / s + l, regularized=True) \
         - mpmath.betainc(a, b, 0, l, regularized=True)
+
+
+def sl_pdf(p: SltbParams, z: float) -> float:
+    """Density of the scale-location transformed variable z = (y - l)*s
+    before truncation: (1/s) * f_beta(z/s + l), the quadrature oracle."""
+    lo = -p.l * p.s
+    hi = (1.0 - p.l) * p.s
+    if not (lo - dist._SUPPORT_TOL <= z <= hi + dist._SUPPORT_TOL):
+        raise DomainError(f"z={z} outside transformed support [{lo}, {hi}]")
+    x = z / p.s + p.l
+    a, b = p.alpha(), p.beta_shape()
+    if x <= 0.0 or x >= 1.0:
+        # exact support endpoint: return the limiting density value
+        shape = a if x <= 0.0 else b
+        if shape > 1.0:
+            return 0.0
+        if shape < 1.0:
+            return math.inf
+        # shape == 1: the x-power vanishes and the other factor tends to 1
+        return math.exp(sp.gammaln(a + b) - sp.gammaln(a) - sp.gammaln(b)) / p.s
+    return float(np.exp(dist.beta_logpdf_arrays(p.mu, p.phi, x))) / p.s
 
 
 def normalizer(p: SltbParams) -> float:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -17,6 +18,8 @@ from sltb.distributions import (
     BetaMuPhi,
     SltbParams,
     beta_logpdf,
+    sltb_log_normalizer_arrays,
+    sltb_log_normalizer_partials,
     sltb_logpdf,
 )
 from sltb.errors import BoundaryError, NumericalError, ValidationError
@@ -32,6 +35,7 @@ from sltb.regression import (
     predict_mean,
     residuals,
     response_vector,
+    score,
 )
 
 
@@ -191,6 +195,136 @@ def test_loglik_nonfinite_linear_predictor_errors():
 
 
 # ---------------------------------------------------------------------------
+# score
+# ---------------------------------------------------------------------------
+
+SCALE_LOCATIONS = [(DEFAULT_S, DEFAULT_L), (1.08, 0.04)]
+
+
+def mp_row_loglik(lp, eta, y, s, l, family):
+    """One row's log-likelihood from its defining formula, in mpmath, with
+    the float inputs taken exactly; also returns the normalizer Z."""
+    lp, eta, y, s, l = map(mpmath.mpf, (lp, eta, y, s, l))
+    mu = 1 / (1 + mpmath.exp(-lp))
+    phi = mpmath.exp(eta)
+    a, b = mu * phi, (1 - mu) * phi
+    if family == "beta":
+        x, s, z = y, mpmath.mpf(1), mpmath.mpf(1)
+    else:
+        x = y / s + l
+        z = (mpmath.betainc(a, b, 0, 1 / s + l, regularized=True)
+             - mpmath.betainc(a, b, 0, l, regularized=True))
+    return ((a - 1) * mpmath.log(x) + (b - 1) * mpmath.log(1 - x)
+            - mpmath.log(mpmath.beta(a, b)) - mpmath.log(s) - mpmath.log(z)), z
+
+
+def mp_row_score(lp, eta, y, s, l, family):
+    """(d/d lp, d/d eta) of `mp_row_loglik` at 30 digits, and Z."""
+    with mpmath.workdps(30):
+        d_lp = mpmath.diff(lambda t: mp_row_loglik(t, eta, y, s, l, family)[0],
+                           mpmath.mpf(lp))
+        d_eta = mpmath.diff(lambda t: mp_row_loglik(lp, t, y, s, l, family)[0],
+                            mpmath.mpf(eta))
+        z = mp_row_loglik(lp, eta, y, s, l, family)[1]
+        return np.array([float(d_lp), float(d_eta)]), float(z)
+
+
+def row_theta(mu, phi):
+    return np.array([math.log(mu) - math.log1p(-mu), math.log(phi)])
+
+
+@pytest.mark.parametrize("s, l", SCALE_LOCATIONS)
+def test_sltb_score_matches_mpmath_at_the_corners(s, l):
+    # one row per point, so theta = (lp, eta) and the score is per row. The
+    # normalizer term's rounding, eps in each tail's partials, reaches the
+    # score divided by Z and times a and b, which sum to phi: so the floor
+    # is about eps (1 + phi)/Z, and 1e-14 (1 + phi)/Z covers it
+    for mu in (1e-6, 1e-3, 0.3, 0.97):
+        for phi in (1e-2, 1.0, 1e2, 1e4):
+            if s != DEFAULT_S and phi == 1e4 and mu < 0.01:
+                continue  # Z rounds to 0: the log-likelihood is -inf
+            for y in (0.0, 0.02, 0.5, 1.0):
+                theta = row_theta(mu, phi)
+                y_row = np.array([y])
+                assert math.isfinite(loglik_sltb(theta, np.ones((1, 1)), y_row, s, l))
+                got = score(theta, np.ones((1, 1)), y_row, "sltb", s, l)
+                want, z = mp_row_score(*theta, y, s, l, "sltb")
+                tol = 1e-9 * np.maximum(1.0, np.abs(want)) + 1e-14 * (1.0 + phi) / z
+                assert np.all(np.abs(got - want) <= tol), (mu, phi, y, got, want)
+
+
+def test_beta_score_matches_mpmath_at_the_corners():
+    for mu in (1e-6, 0.3, 0.97):
+        for phi in (1e-2, 1.0, 1e2, 1e4):
+            for y in (1e-3, 0.5, 0.999):
+                theta = row_theta(mu, phi)
+                got = score(theta, np.ones((1, 1)), np.array([y]), "beta")
+                want, _ = mp_row_score(*theta, y, 1.0, 0.0, "beta")
+                assert got == pytest.approx(want, rel=1e-9, abs=1e-9), (mu, phi, y)
+
+
+def richardson_gradient(f, theta, h=1e-3):
+    """Central differences at h and h/2, Richardson-extrapolated."""
+    out = np.empty_like(theta)
+    for i in range(theta.size):
+        e = np.zeros_like(theta)
+        e[i] = h
+        d1 = (f(theta + e) - f(theta - e)) / (2.0 * h)
+        d2 = (f(theta + e / 2.0) - f(theta - e / 2.0)) / h
+        out[i] = (4.0 * d2 - d1) / 3.0
+    return out
+
+
+@pytest.mark.parametrize("family, s, l", [
+    ("sltb", DEFAULT_S, DEFAULT_L), ("sltb", 1.08, 0.04), ("beta", 1.0, 0.0)])
+def test_score_matches_richardson_differences(family, s, l):
+    data = synth_dataset(150, seed=12, boundary=family == "sltb")
+    X, _ = build_design(SPEC2, data)
+    y = response_vector(SPEC2, data)
+    if family == "beta":
+        y = np.clip(y, 1e-3, 1.0 - 1e-3)
+        f = lambda t: loglik_beta(t, X, y)
+    else:
+        y[:2] = (0.0, 1.0)  # rows at both boundaries
+        f = lambda t: loglik_sltb(t, X, y, s, l)
+    for theta in (np.array([0.8, -1.1, 0.5, math.log(12.0)]),
+                  np.array([-2.0, 3.0, 1.5, math.log(0.5)]),
+                  np.array([4.0, -0.5, -2.0, math.log(300.0)])):
+        got = score(theta, X, y, family, s, l)
+        want = richardson_gradient(f, theta)
+        assert got == pytest.approx(want, rel=1e-7, abs=1e-7 * abs(f(theta)))
+
+
+def test_score_is_nan_past_the_series_term_cap():
+    # (s, l) = (1.08, 0.04) and phi 1e6, with the upper tail's mean 2 sd
+    # inside the tail: its series would need several thousand terms, past
+    # the cap, so the score is NaN, never a truncated sum, while the
+    # log-likelihood is finite
+    s, l, phi = 1.08, 0.04, 1e6
+    eps = (s - 1.0 - l * s) / s
+    mu = 1.0 - (eps - 2.0 * math.sqrt(eps * (1.0 - eps) / phi))
+    theta = row_theta(mu, phi)
+    y = np.array([1.0])
+    assert math.isfinite(loglik_sltb(theta, np.ones((1, 1)), y, s, l))
+    assert np.isnan(score(theta, np.ones((1, 1)), y, "sltb", s, l)).all()
+    assert np.isfinite(sltb_log_normalizer_partials(mu, 1e3, s, l)).all()
+
+
+@pytest.mark.parametrize("s, l", [(1.0, 0.0), (1.1, 0.0), (1.08, 0.04)])
+def test_normalizer_partials_match_differences_of_the_normalizer(s, l):
+    # s = 1, l = 0 truncates nothing; l = 0 alone leaves only the upper tail
+    mu, phi = np.array([0.2, 0.7]), 5.0
+    d_a, d_b = sltb_log_normalizer_partials(mu, phi, s, l)
+    log_z = lambda m, f: sltb_log_normalizer_arrays(m, f, s, l)
+    h = 1e-4
+    d_mu = (log_z(mu + h, phi) - log_z(mu - h, phi)) / (2 * h)
+    d_phi = (log_z(mu, phi + h) - log_z(mu, phi - h)) / (2 * h)
+    # a = mu phi, b = (1 - mu) phi
+    assert phi * (d_a - d_b) == pytest.approx(d_mu, rel=1e-6, abs=1e-12)
+    assert mu * d_a + (1 - mu) * d_b == pytest.approx(d_phi, rel=1e-6, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # fitting
 # ---------------------------------------------------------------------------
 
@@ -244,6 +378,31 @@ def test_fit_gradient_small_at_optimum(synth_fit):
         dn[i] -= step
         g[i] = (loglik_sltb(up, X, y) - loglik_sltb(dn, X, y)) / (2 * step)
     assert np.max(np.abs(g)) / max(1.0, abs(fit.loglik)) < 1e-4
+
+
+def test_fit_reports_its_evaluations_and_score(synth_fit):
+    data, fit = synth_fit
+    X, _ = build_design(SPEC2, data)
+    y = response_vector(SPEC2, data)
+    # one BFGS run on the analytic score: tens of evaluations, not hundreds
+    assert fit.iterations < fit.evaluations < 100
+    want = np.max(np.abs(score(fit.theta(), X, y))) / max(1.0, abs(fit.loglik))
+    assert fit.score_max == pytest.approx(want, rel=1e-6, abs=1e-15)
+    assert fit.score_max < 1e-4
+
+
+def test_fit_at_nondefault_scale_location_matches_the_pinned_fit():
+    # the fit of the Nelder-Mead-then-BFGS optimizer this one replaced, on
+    # data with four exact 1s; with l = 0.04 both normalizer tails are
+    # visible, so the score's series terms matter
+    data = synth_dataset(200, seed=43, boundary=True)
+    fit = fit_mle(SPEC2, data, family="sltb", s=1.08, l=0.04)
+    assert fit.converged
+    assert fit.coefficients == pytest.approx(
+        [0.8003808030141647, -1.1578443906212375, 0.5143110314933069],
+        rel=0.0, abs=1e-6)
+    assert fit.log_precision == pytest.approx(2.4741997154385613, rel=0.0, abs=1e-6)
+    assert fit.loglik == pytest.approx(118.3693824665674, rel=1e-12)
 
 
 def test_fit_family_continuity_on_interior_data():
@@ -363,6 +522,7 @@ def test_mse_report_boundary_subsets():
         assert rep["boundary_ones"] == pytest.approx(
             float(np.mean(r[y == 1.0] ** 2)), abs=1e-15)
     assert rep["n"] == 200
+    assert mse_report(fit, SPEC2, data, r) == rep  # the residuals passed in
     with pytest.raises(ValidationError):
         mse(fit, SPEC2, data, subset="everything")
 
