@@ -2,9 +2,9 @@
 samplers, and plot-data export.
 
 Every command writes its outputs plus a manifest.json recording the
-resolved configuration, seed, input digests, and toolkit version, so a
-run can be replayed byte-for-byte (timing fields and the manifest's own
-timestamps excepted).
+resolved configuration, seed, input digests, toolkit version and run
+environment, so a run can be replayed byte-for-byte (timing fields and
+the manifest's own timestamps excepted). JSON outputs are strict JSON.
 
 Exit codes: 0 success, 2 input or validation problem, 3 numerical failure.
 """
@@ -16,12 +16,14 @@ import hashlib
 import inspect
 import json
 import os
+import platform
 import sys
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from typing import Optional
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .bayes_hier_linear import (
@@ -85,9 +87,13 @@ def _out_file(out: str, name: str) -> str:
 
 
 def _write_json(path: str, obj) -> None:
+    """Strict JSON: a NaN or inf raises NumericalError before any write."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as e:
+        raise NumericalError(f"{path} not written: {e}")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +507,9 @@ def main(argv=None) -> int:
         command, config, seed, inputs = args.handler(args)
         _write_json(_out_file(args.out, "manifest.json"), {
             "command": command, "config": config, "seed": seed,
-            "version": __version__,
+            "version": __version__, "environment": {
+                "python": platform.python_version(), "numpy": np.__version__,
+                "scipy": scipy.__version__, "cpu_count": os.cpu_count()},
             "inputs": {p: _sha256(p) for p in inputs if p is not None},
             "started": started, "finished": _utc_now()})
         return EXIT_OK

@@ -80,9 +80,6 @@ class TabularDataset:
             raise ValidationError(f"column '{name}' is numeric, not a factor")
         return self._factors[name]
 
-    def levels(self, name: str) -> Tuple[str, ...]:
-        return tuple(sorted(set(self.factor(name))))
-
     def _require(self, name: str) -> None:
         if not self.has_column(name):
             raise ValidationError(f"unknown column '{name}'")

@@ -63,10 +63,7 @@ class BetaMuPhi:
     phi: float
 
     def __post_init__(self):
-        if not (0.0 < self.mu < 1.0):
-            raise DomainError(f"mu must lie in (0,1), got {self.mu}")
-        if not self.phi > 0.0:
-            raise DomainError(f"phi must be positive, got {self.phi}")
+        _check_mu_phi(self.mu, self.phi)
 
     def alpha(self) -> float:
         return self.mu * self.phi
@@ -79,6 +76,19 @@ class BetaMuPhi:
 
     def variance(self) -> float:
         return self.mu * (1.0 - self.mu) / (1.0 + self.phi)
+
+
+def _check_mu_phi(mu: float, phi: float) -> None:
+    """Refuse a mu outside (0,1) or a non-finite or non-positive phi, and
+    (NumericalError) a phi whose beta shape mu*phi or (1-mu)*phi is below
+    the smallest normal float, where gammaln is inf and the density NaN."""
+    if not (0.0 < mu < 1.0):
+        raise DomainError(f"mu must lie in (0,1), got {mu}")
+    if not (math.isfinite(phi) and phi > 0.0):
+        raise DomainError(f"phi must be finite and positive, got {phi}")
+    if min(mu * phi, (1.0 - mu) * phi) < np.finfo(float).tiny:
+        raise NumericalError(f"phi={phi} is too small for a finite density "
+                             f"at mu={mu}: a beta shape underflows")
 
 
 def check_scale_location(s: float, l: float) -> None:
@@ -113,10 +123,7 @@ class SltbParams:
     l: float = DEFAULT_L
 
     def __post_init__(self):
-        if not (0.0 < self.mu < 1.0):
-            raise DomainError(f"mu must lie in (0,1), got {self.mu}")
-        if not self.phi > 0.0:
-            raise DomainError(f"phi must be positive, got {self.phi}")
+        _check_mu_phi(self.mu, self.phi)
         check_scale_location(self.s, self.l)
 
     def alpha(self) -> float:

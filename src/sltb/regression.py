@@ -69,15 +69,17 @@ class FitResult:
     """Maximum-likelihood fit with Wald inference.
 
     `coefficients` holds beta in design order; `log_precision` is eta.
-    se/z/p cover the full theta vector (coefficients then eta), matching
-    the rows of `vcov`. `fit_seconds` times the one optimizer call only,
-    not the warm start or the Hessian. `loglik_trace` holds the
-    log-likelihood at the start, then the optimizer's own value at each of
-    its iterates; `iterations` counts those iterations, so it is
-    ``len(loglik_trace) - 1``. `evaluations` counts the optimizer's calls
-    of the objective, each one log-likelihood and one `score`, and
-    `score_max` is the largest |score| at the optimum scaled by
-    max(1, |loglik|), the figure the convergence test reads.
+    se/z/p cover the full theta vector (coefficients then eta), matching the
+    rows of `vcov`, the inverse of the observed information, which is the
+    symmetrized central-difference Jacobian of -`score` at the optimum.
+    `fit_seconds` times the one optimizer call only, not the warm start or
+    the information. `loglik_trace` holds the log-likelihood at the start,
+    then the optimizer's own value at each of its iterates; `iterations`
+    counts those iterations, so it is ``len(loglik_trace) - 1``.
+    `evaluations` counts the optimizer's calls of the objective, each one
+    log-likelihood and one `score`, and `score_max` is the largest |score|
+    at the optimum scaled by max(1, |loglik|), the figure the convergence
+    test reads.
     """
 
     family: str
@@ -305,8 +307,9 @@ def fit_mle(spec: RegressionSpec, data: TabularDataset, family: str = "sltb",
     fit has converged when BFGS reports success or the largest |score| at
     its point, scaled by max(1, |loglik|), is below 1e-4.
 
-    Wald machinery: vcov is the inverse numeric Hessian of the negative
-    log-likelihood at the optimum, z = estimate/se, p two-sided normal.
+    Wald machinery: vcov inverts the observed information, the symmetrized
+    central-difference Jacobian of -`score` at the optimum
+    (`kernel.numeric_hessian`); z = estimate/se, p two-sided normal.
     """
     if family not in ("beta", "sltb"):
         raise ValidationError(f"unknown family '{family}', expected sltb or beta")
@@ -337,16 +340,21 @@ def fit_mle(spec: RegressionSpec, data: TabularDataset, family: str = "sltb",
             return np.inf
         return -ll(theta)
 
+    def gradient(theta, value=None):
+        # -score where negll (`value`, if known) is finite, NaN elsewhere
+        if not np.isfinite(negll(theta) if value is None else value):
+            return np.full(theta.shape, np.nan)
+        return -score(theta, X, y, family, s, l, logs)
+
     trace = []
 
     def objective(theta):
         value = negll(theta)
         if not trace:
             trace.append(-value)  # the start; the first call evaluates it
-        if np.isfinite(value):
-            grad = -score(theta, X, y, family, s, l, logs)
-            if np.isfinite(grad).all():
-                return value, grad
+        grad = gradient(theta, value)
+        if np.isfinite(grad).all():
+            return value, grad
         # no usable score here (see `score`): the line search backs off
         return np.inf, np.zeros_like(theta)
 
@@ -377,11 +385,11 @@ def fit_mle(spec: RegressionSpec, data: TabularDataset, family: str = "sltb",
             best_point=theta_hat, best_value=best)
 
     try:
-        hess = kernel.numeric_hessian(negll, theta_hat)
+        hess = kernel.numeric_hessian(gradient, theta_hat)
     except NumericalError:
         # optimum close to the feasible edge: difference with a finer step
         hess = kernel.numeric_hessian(
-            negll, theta_hat, h=np.finfo(float).eps ** (1.0 / 3.0) / 16.0)
+            gradient, theta_hat, h=np.finfo(float).eps ** (1.0 / 3.0) / 16.0)
     cond = float(np.linalg.cond(hess))
     if not np.isfinite(cond) or cond > 1e12:
         raise NumericalError(

@@ -4,6 +4,7 @@ import csv
 import inspect
 import json
 import os
+import platform
 import subprocess
 import sys
 from dataclasses import asdict, fields
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import sltb
 from sltb.bayes_hier_linear import build_hier_model, gen_alcohol_fixture, run_chain
@@ -25,12 +27,13 @@ from sltb.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
+    _write_json,
     load_spec,
     main,
     resolve_seed,
 )
 from sltb.data import TabularDataset, read_csv, write_csv
-from sltb.errors import ValidationError
+from sltb.errors import NumericalError, ValidationError
 from sltb.simulation import SimConfig, gen_dataset
 
 
@@ -150,6 +153,9 @@ def test_fit_outputs(fit_files, tmp_path):
     assert len(manifest["inputs"]) == 2
     assert all(len(d) == 64 for d in manifest["inputs"].values())
     assert manifest["seed"] is None
+    assert manifest["environment"] == {
+        "python": platform.python_version(), "numpy": np.__version__,
+        "scipy": scipy.__version__, "cpu_count": os.cpu_count()}
 
 
 def test_fit_mse_json_is_strict_json(fit_files, tmp_path):
@@ -167,6 +173,25 @@ def test_fit_mse_json_is_strict_json(fit_files, tmp_path):
     assert report["n_ones"] > 0 and report["n_zeros"] == 0
     assert report["boundary_ones"] > 0.0 and report["overall"] > 0.0
     assert report["boundary_zeros"] is None
+
+
+def test_write_json_refuses_non_finite_values(fit_files, tmp_path,
+                                              monkeypatch, capsys):
+    path = tmp_path / "x.json"
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(NumericalError, match="x.json not written"):
+            _write_json(str(path), {"value": [1.0, bad]})
+        assert not path.exists()
+    # a command whose output would hold NaN exits 3 and leaves no such file
+    monkeypatch.setattr(sltb.cli, "mse_report",
+                        lambda *args: {"overall": float("nan")})
+    out = tmp_path / "out"
+    assert main(["fit", "--data", str(fit_files / "data.csv"),
+                 "--spec", str(fit_files / "spec.json"),
+                 "--out", str(out)]) == EXIT_NUMERICAL
+    assert "mse.json not written" in capsys.readouterr().err
+    assert not (out / "mse.json").exists()
+    assert not (out / "manifest.json").exists()
 
 
 def test_fit_replay_byte_identical(fit_files, tmp_path):
@@ -460,7 +485,9 @@ _FIT = ["fit", "--data", "@fit-data", "--spec", "@fit-spec"]
 
 @pytest.mark.parametrize("argv, config, code, message", [
     (["density", "--mu", "0.5", "--phi", "1e-320"], None, EXIT_NUMERICAL,
-     "sltb_pdf is nan at grid point g=0.0"),
+     "phi=1e-320 is too small for a finite density at mu=0.5"),
+    (["density", "--mu", "0.5", "--phi", "inf"], None, EXIT_VALIDATION,
+     "phi must be finite and positive, got inf"),
     (["hier-linear", "--data", "@alc"], {"spec": {"terms": ["medDays"]}},
      EXIT_VALIDATION, "spec needs 'response' and 'terms'"),
     (["hier-linear", "--data", "@alc"], {"iters": "abc"}, EXIT_VALIDATION,
@@ -506,7 +533,7 @@ _FIT = ["fit", "--data", "@fit-data", "--spec", "@fit-spec"]
      "config 'base_seed' must be an integer, got '3'"),
     (["hier-nonlinear"], {"nsubj": 3, "rounding_decimals": -1},
      EXIT_VALIDATION, "rounding_decimals must be >= 0 or None"),
-], ids=["density-tiny-phi", "spec-without-response", "iters-not-int",
+], ids=["density-tiny-phi", "density-inf-phi", "spec-without-response", "iters-not-int",
         "prior-not-number", "n-not-int", "beta-true-not-list",
         "rounding-not-int", "methods-not-list", "delays-not-list",
         "models-not-list", "fit-s-below-one", "fit-l-negative", "fit-s-nan",

@@ -118,6 +118,20 @@ def test_beta_mu_phi_validation():
             BetaMuPhi(mu, phi)
 
 
+@pytest.mark.parametrize("law", [BetaMuPhi, SltbParams])
+def test_phi_without_a_finite_density_is_refused(law):
+    for phi in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="phi must be finite"):
+            law(0.5, phi)
+    # a shape below the smallest normal float makes gammaln inf
+    tiny = np.finfo(float).tiny
+    for mu, phi in [(0.5, 1e-320), (1e-6, 1e-303), (1.0 - 1e-6, 1e-303)]:
+        with pytest.raises(NumericalError, match="too small for a finite"):
+            law(mu, phi)
+    assert law(0.5, 2.0 * tiny).alpha() == tiny
+    assert math.isfinite(sltb_logpdf(SltbParams(0.5, 2.0 * tiny), 0.5))
+
+
 def test_sltb_params_defaults_and_validation():
     p = SltbParams(0.5, 4.0)
     assert p.s == 1.0 + 10.0 ** -8.5

@@ -197,43 +197,48 @@ def test_quadrature_weights_sum_to_length():
 
 
 # ---------------------------------------------------------------------------
-# numeric Hessian
+# numeric Hessian: the central-difference Jacobian of a gradient
 # ---------------------------------------------------------------------------
 
 def test_hessian_quadratic():
-    f = lambda v: v[0] ** 2 + v[1] ** 2
-    h = kernel.numeric_hessian(f, np.zeros(2))
-    assert np.allclose(h, 2.0 * np.eye(2), atol=1e-7)
+    grad = lambda v: 2.0 * v  # of v0^2 + v1^2
+    h = kernel.numeric_hessian(grad, np.zeros(2))
+    assert np.allclose(h, 2.0 * np.eye(2), rtol=0.0, atol=1e-12)
 
 
 def test_hessian_cross_term():
-    f = lambda v: v[0] * v[1]
-    h = kernel.numeric_hessian(f, np.array([1.0, 1.0]))
-    # diagonal roundoff floor is eps / step^2, a few 1e-7 here
-    assert np.allclose(h, np.array([[0.0, 1.0], [1.0, 0.0]]), atol=5e-6)
+    grad = lambda v: np.array([v[1], v[0]])  # of v0 * v1
+    h = kernel.numeric_hessian(grad, np.array([1.0, 1.0]))
+    # a linear gradient leaves only the rounding of its differences
+    assert np.allclose(h, np.array([[0.0, 1.0], [1.0, 0.0]]), rtol=0.0,
+                       atol=1e-12)
 
 
 def test_hessian_transcendental_against_analytic():
     # f(x,y) = exp(x) * sin(y) has an analytic Hessian to compare against
-    f = lambda v: math.exp(v[0]) * math.sin(v[1])
+    grad = lambda v: math.exp(v[0]) * np.array([math.sin(v[1]), math.cos(v[1])])
     x = np.array([0.3, 1.1])
     want = np.array([
         [math.exp(0.3) * math.sin(1.1), math.exp(0.3) * math.cos(1.1)],
         [math.exp(0.3) * math.cos(1.1), -math.exp(0.3) * math.sin(1.1)],
     ])
-    got = kernel.numeric_hessian(f, x)
-    assert np.allclose(got, want, rtol=1e-6, atol=1e-7)
+    got = kernel.numeric_hessian(grad, x)
+    # truncation h^2 and rounding eps/h, both about 4e-11 at h = eps^(1/3)
+    assert np.allclose(got, want, rtol=1e-9, atol=1e-10)
 
 
 def test_hessian_symmetric_and_errors():
-    f = lambda v: v[0] ** 3 * v[1] - v[1] ** 2 * v[0]
-    h = kernel.numeric_hessian(f, np.array([0.7, -0.4]))
+    # gradient of v0^3 v1 - v1^2 v0
+    grad = lambda v: np.array([3.0 * v[0] ** 2 * v[1] - v[1] ** 2,
+                               v[0] ** 3 - 2.0 * v[1] * v[0]])
+    h = kernel.numeric_hessian(grad, np.array([0.7, -0.4]))
     assert np.array_equal(h, h.T)
-    with pytest.raises(NumericalError, match="coordinate"):
-        kernel.numeric_hessian(lambda v: float("inf") if v[0] > 1e-7 else 0.0,
-                               np.array([0.0, 0.0]))
+    with pytest.raises(NumericalError, match="coordinate 0"):
+        kernel.numeric_hessian(
+            lambda v: np.full(2, np.inf if v[0] > 1e-7 else 0.0),
+            np.array([0.0, 0.0]))
     with pytest.raises(DomainError):
-        kernel.numeric_hessian(f, np.array([0.7, -0.4]), h=-1.0)
+        kernel.numeric_hessian(grad, np.array([0.7, -0.4]), h=-1.0)
 
 
 # ---------------------------------------------------------------------------

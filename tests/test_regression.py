@@ -37,6 +37,7 @@ from sltb.regression import (
     response_vector,
     score,
 )
+from sltb.simulation import STUDY_SPEC, SimConfig, gen_dataset
 
 
 def synth_dataset(n: int, seed: int, *, boundary: bool = False) -> TabularDataset:
@@ -263,16 +264,17 @@ def test_beta_score_matches_mpmath_at_the_corners():
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-9), (mu, phi, y)
 
 
-def richardson_gradient(f, theta, h=1e-3):
-    """Central differences at h and h/2, Richardson-extrapolated."""
-    out = np.empty_like(theta)
+def richardson_jacobian(f, theta, h=1e-3):
+    """Central differences at h and h/2, Richardson-extrapolated; column i
+    is the derivative along theta_i (the gradient, for a scalar f)."""
+    cols = []
     for i in range(theta.size):
         e = np.zeros_like(theta)
         e[i] = h
         d1 = (f(theta + e) - f(theta - e)) / (2.0 * h)
         d2 = (f(theta + e / 2.0) - f(theta - e / 2.0)) / h
-        out[i] = (4.0 * d2 - d1) / 3.0
-    return out
+        cols.append((4.0 * d2 - d1) / 3.0)
+    return np.array(cols).T
 
 
 @pytest.mark.parametrize("family, s, l", [
@@ -291,7 +293,7 @@ def test_score_matches_richardson_differences(family, s, l):
                   np.array([-2.0, 3.0, 1.5, math.log(0.5)]),
                   np.array([4.0, -0.5, -2.0, math.log(300.0)])):
         got = score(theta, X, y, family, s, l)
-        want = richardson_gradient(f, theta)
+        want = richardson_jacobian(f, theta)
         assert got == pytest.approx(want, rel=1e-7, abs=1e-7 * abs(f(theta)))
 
 
@@ -475,13 +477,29 @@ def test_fit_vcov_stable_under_hessian_step_halving(synth_fit):
     data, fit = synth_fit
     X, _ = build_design(SPEC2, data)
     y = response_vector(SPEC2, data)
-    negll = lambda t: -loglik_sltb(t, X, y)
+    neg_score = lambda t: -score(t, X, y)
     theta = fit.theta()
     h0 = np.finfo(float).eps ** (1.0 / 3.0)
-    v1 = np.linalg.inv(kernel.numeric_hessian(negll, theta, h=h0))
-    v2 = np.linalg.inv(kernel.numeric_hessian(negll, theta, h=h0 / 2.0))
-    assert np.allclose(np.sqrt(np.diag(v1)), np.sqrt(np.diag(v2)), rtol=1e-3)
-    assert np.allclose(np.sqrt(np.diag(v1)), fit.se, rtol=1e-6)
+    se1, se2 = (np.sqrt(np.diag(np.linalg.inv(
+        kernel.numeric_hessian(neg_score, theta, h=h)))) for h in (h0, h0 / 2.0))
+    assert np.allclose(se1, se2, rtol=1e-8, atol=0.0)
+    assert np.allclose(se1, fit.se, rtol=1e-8, atol=0.0)
+    assert np.allclose(se2, fit.se, rtol=1e-8, atol=0.0)
+
+
+def test_fit_se_matches_richardson_differences_of_the_score():
+    # the Wald information is the central-difference Jacobian of `score`,
+    # so the SEs of study fits carry only its rounding and h^2 error
+    for n, reps in ((20, 12), (400, 2)):
+        cfg = SimConfig(n=n, reps=reps, base_seed=0)
+        for rep in range(reps):
+            data = gen_dataset(cfg, rep)
+            X, _ = build_design(STUDY_SPEC, data)
+            y = response_vector(STUDY_SPEC, data)
+            fit = fit_mle(STUDY_SPEC, data)
+            info = -richardson_jacobian(lambda t: score(t, X, y), fit.theta())
+            se = np.sqrt(np.diag(np.linalg.inv(0.5 * (info + info.T))))
+            assert fit.se == pytest.approx(se, rel=1e-8, abs=0.0), (n, rep)
 
 
 def test_fit_unknown_family():
