@@ -35,7 +35,8 @@ from scipy.special import expit
 
 from .chain import PosteriorSummary, run_sweeps, summarize
 from .data import TabularDataset, round_responses
-from .distributions import DEFAULT_L, DEFAULT_S, log_x_pair, sltb_logpdf_arrays
+from .distributions import (DEFAULT_L, DEFAULT_S, check_boundary_window,
+                            check_scale_location, log_x_pair, sltb_logpdf_arrays)
 from .errors import NumericalError, ValidationError
 from .kernel import Rng
 from .regression import (
@@ -90,6 +91,7 @@ class HierLinearModel:
             raise ValidationError("prior_variance must be positive")
         if not self.sigma_upper > 0:
             raise ValidationError("sigma_upper must be positive")
+        check_scale_location(self.s, self.l)
 
     @property
     def n_rows(self) -> int:
@@ -230,8 +232,7 @@ class _Work:
                 idx = slice(None)
             self.row_sets.append(
                 (idx, y[idx], (self.logs[0][idx], self.logs[1][idx])))
-        self.lp = model.X @ self.beta + (
-            self.u[model.group_index] if model.n_rows else np.zeros(0))
+        self.lp = model.X @ self.beta + self.u[model.group_index]
         self.rows = _safe_rows(self.lp, self.eta, y, self.logs,
                                model.s, model.l)
         self.ll = float(self.rows.sum()) if y.size else 0.0
@@ -318,18 +319,21 @@ def _sweep(w: _Work, model: HierLinearModel, y: np.ndarray,
 
 
 def initial_state(model: HierLinearModel, data: np.ndarray) -> ChainState:
-    """Least-squares warm start on the logit scale; u at zero, sigma at one."""
+    """Least-squares warm start on the logit scale; u at zero, sigma at one,
+    or at half of sigma_upper where that is at most one."""
     if model.n_rows == 0 or model.n_coefs == 0:
         beta = np.zeros(model.n_coefs)
     else:
         beta = warm_start(model.X, np.asarray(data, dtype=float), model.l)[:-1]
+    sigma = 1.0 if model.sigma_upper > 1.0 else model.sigma_upper / 2.0
     return ChainState(beta=beta, u=np.zeros(model.n_groups),
-                      eta=np.log(10.0), sigma2=1.0)
+                      eta=np.log(10.0), sigma2=sigma * sigma)
 
 
 _ADAPT_WINDOW = 100
 _ADAPT_LOW, _ADAPT_HIGH = 0.2, 0.5
 _ADAPT_SHRINK, _ADAPT_GROW = 0.7, 1.4
+_PREDICT_BATCH = 500  # draws per block of posterior_predictive_mse
 
 
 def run_chain(model: HierLinearModel, data: np.ndarray, iters: int = 20000,
@@ -342,6 +346,7 @@ def run_chain(model: HierLinearModel, data: np.ndarray, iters: int = 20000,
     intercepts; summaries cover every column.
     """
     y = _response(model, data)
+    check_boundary_window(y, model.s, model.l)
     tun = (tuning or Tuning.default(model)).copy()
     if tun.beta_scales.shape != (model.n_coefs,) \
             or tun.u_scales.shape != (model.n_groups,):
@@ -404,20 +409,17 @@ def build_hier_model(data: TabularDataset, spec: RegressionSpec = HIER_SPEC,
 
 
 def posterior_predictive_mse(result: HierChainResult, model: HierLinearModel,
-                             data: np.ndarray, batch: int = 500) -> float:
+                             data: np.ndarray) -> float:
     """Mean squared error of the draw-averaged predictive mean."""
     y = _response(model, data)
     if model.n_rows == 0:
         raise ValidationError("no rows to score")
-    k, m = model.n_coefs, model.n_groups
+    k = model.n_coefs
     draws = result.draws
-    beta_d = draws[:, :k]
-    u_d = draws[:, k + 2:k + 2 + m]
     total = np.zeros(model.n_rows)
-    for lo in range(0, draws.shape[0], batch):
-        b = beta_d[lo:lo + batch]
-        u = u_d[lo:lo + batch]
-        lp = b @ model.X.T + u[:, model.group_index]
+    for lo in range(0, draws.shape[0], _PREDICT_BATCH):
+        block = draws[lo:lo + _PREDICT_BATCH]  # u_g is column k + 2 + g
+        lp = block[:, :k] @ model.X.T + block[:, k + 2 + model.group_index]
         total += np.clip(model.s * (expit(lp) - model.l), 0.0, 1.0).sum(axis=0)
     yhat = total / draws.shape[0]
     return float(np.mean((yhat - y) ** 2))

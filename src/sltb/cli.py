@@ -1,10 +1,10 @@
 """Batch command line: fitting, simulation studies, the two hierarchical
 samplers, and plot-data export.
 
-Every command writes its outputs plus a manifest.json recording the
-resolved configuration, seed, input digests, toolkit version and run
-environment, so a run can be replayed byte-for-byte (timing fields and
-the manifest's own timestamps excepted). JSON outputs are strict JSON.
+A command computes its outputs; `main` writes all of them, or none, plus
+a manifest.json recording the resolved configuration, seed, input digests,
+toolkit version and run environment, so a run replays byte-for-byte (timing
+fields and the manifest's timestamps excepted). JSON outputs are strict.
 
 Exit codes: 0 success, 2 input or validation problem, 3 numerical failure.
 """
@@ -40,7 +40,7 @@ from .bayes_hier_nonlinear import (
     sltb_hier_sample,
 )
 from .chain import check_lengths
-from .data import read_csv, write_csv
+from .data import TabularDataset, read_csv, write_csv
 from .distributions import (
     DEFAULT_L,
     DEFAULT_S,
@@ -79,21 +79,26 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _out_file(out: str, name: str) -> str:
-    """Path of `name` in the output directory, which the first write
-    creates, so a refused command leaves nothing behind."""
+def write_outputs(out: str, outputs: dict) -> None:
+    """Write each `.json` output as strict JSON and each other output, a
+    TabularDataset or (header, rows), as a CSV into `out`. The JSON texts are
+    made first: a NaN or inf raises NumericalError before `out` exists."""
+    texts = {}
+    for name, obj in outputs.items():
+        if name.endswith(".json"):
+            try:
+                texts[name] = json.dumps(obj, indent=2, sort_keys=True,
+                                         allow_nan=False)
+            except ValueError as e:
+                raise NumericalError(f"{name} not written: {e}")
     os.makedirs(out, exist_ok=True)
-    return os.path.join(out, name)
-
-
-def _write_json(path: str, obj) -> None:
-    """Strict JSON: a NaN or inf raises NumericalError before any write."""
-    try:
-        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as e:
-        raise NumericalError(f"{path} not written: {e}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    for name, table in outputs.items():
+        if name not in texts:
+            args = (table,) if isinstance(table, TabularDataset) else table
+            write_csv(os.path.join(out, name), *args)
+    for name, text in texts.items():
+        with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +189,11 @@ def _numbers_object(cls, what: str):
 
 
 def _number(value) -> float:
-    """A JSON number; a boolean or a string is not one."""
+    """A finite JSON number: not a boolean, a string, NaN or an infinity."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(value)
+    if not np.isfinite(value):
+        raise ValueError(value)
     return float(value)
 
 
@@ -252,16 +259,13 @@ def load_spec(path: str) -> RegressionSpec:
     return _spec_from_obj(_load_json_object(path, "spec"), path)
 
 
-def _summary_snapshot(summary, extra: Optional[dict] = None) -> dict:
-    out = {
+def _summary_snapshot(summary) -> dict:
+    return {
         "rows": {name: summary.row(name) for name in summary.names},
         "acceptance_rates": dict(summary.acceptance_rates),
         "n_draws": summary.n_draws,
         "warnings": list(summary.warnings),
     }
-    if extra:
-        out.update(extra)
-    return out
 
 
 def _emit_warnings(summary) -> None:
@@ -270,46 +274,41 @@ def _emit_warnings(summary) -> None:
 
 
 # ---------------------------------------------------------------------------
-# commands: each writes its outputs into args.out and returns the
-# manifest's (command, config, seed, input paths)
+# commands: each computes, writes nothing, and returns the manifest's
+# (command, config, seed, input paths) and its outputs for `write_outputs`
 # ---------------------------------------------------------------------------
 
 def cmd_fit(args):
-    out = args.out
     data = read_csv(args.data)
     spec = load_spec(args.spec)
     fit = fit_mle(spec, data, family=args.family, s=args.s, l=args.l)
 
-    names = list(fit.coef_names) + ["log_phi"]
-    est = list(fit.coefficients) + [fit.log_precision]
-    rows = [[nm, est[i], fit.se[i], fit.z[i], fit.p[i]]
-            for i, nm in enumerate(names)]
-    write_csv(_out_file(out, "coefficients.csv"),
-              ["term", "estimate", "se", "z", "p"], rows)
-    _write_json(_out_file(out, "coefficients.json"), {
-        "family": fit.family,
-        "converged": fit.converged,
-        "evaluations": fit.evaluations,
-        "score_max": fit.score_max,
-        "loglik": fit.loglik,
-        "phi": fit.phi(),
-        "s": fit.s,
-        "l": fit.l,
-        "terms": {nm: {"estimate": float(est[i]), "se": float(fit.se[i]),
-                       "z": float(fit.z[i]), "p": float(fit.p[i])}
-                  for i, nm in enumerate(names)},
-    })
+    rows = list(zip(fit.coef_names + ("log_phi",), fit.theta(), fit.se, fit.z,
+                    fit.p))
     resid = residuals(fit, spec, data)
     y = data.numeric(spec.response)
-    write_csv(_out_file(out, "residuals.csv"),
-              ["row", "y", "fitted", "residual"],
-              [[i + 1, y[i], y[i] - resid[i], resid[i]]
-               for i in range(len(resid))])
-    _write_json(_out_file(out, "mse.json"), mse_report(fit, spec, data, resid))
-
+    outputs = {
+        "coefficients.csv": (["term", "estimate", "se", "z", "p"], rows),
+        "coefficients.json": {
+            "family": fit.family,
+            "converged": fit.converged,
+            "evaluations": fit.evaluations,
+            "score_max": fit.score_max,
+            "loglik": fit.loglik,
+            "phi": fit.phi(),
+            "s": fit.s,
+            "l": fit.l,
+            "terms": {nm: dict(zip(("estimate", "se", "z", "p"), map(float, row)))
+                      for nm, *row in rows},
+        },
+        "residuals.csv": (["row", "y", "fitted", "residual"],
+                          zip(range(1, y.size + 1), y, y - resid, resid)),
+        "mse.json": mse_report(fit, spec, data, resid),
+    }
     config = {"family": args.family, "s": args.s, "l": args.l,
               "spec": asdict(spec)}
-    return ["fit", args.data, args.spec], config, None, [args.data, args.spec]
+    inputs = [args.data, args.spec]
+    return ["fit", *inputs], config, None, inputs, outputs
 
 
 def cmd_simulate(args):
@@ -320,16 +319,15 @@ def cmd_simulate(args):
     report = run_study(SimConfig(**cfg, base_seed=seed), methods=methods,
                        threads=args.threads)
 
-    header, rows = records_table(report)
-    write_csv(_out_file(args.out, "records.csv"), header, rows)
     summary = report.to_dict(include_timing=False)
-    _write_json(_out_file(args.out, "summary.json"), summary)
-    _write_json(_out_file(args.out, "timing.json"),
-                {"mean_fit_seconds": dict(report.mean_fit_seconds)})
-
+    outputs = {
+        "records.csv": records_table(report),
+        "summary.json": summary,
+        "timing.json": {"mean_fit_seconds": dict(report.mean_fit_seconds)},
+    }
     config = {**summary["config"], "methods": list(methods),
               "threads": args.threads}
-    return ["simulate", args.config], config, seed, [args.config]
+    return ["simulate", args.config], config, seed, [args.config], outputs
 
 
 def cmd_hier_linear(args):
@@ -345,14 +343,12 @@ def cmd_hier_linear(args):
     res = run_chain(model, y, seed=seed, **lengths)
     _emit_warnings(res.summary)
 
-    write_csv(_out_file(args.out, "draws.csv"), list(res.columns),
-              [list(row) for row in res.draws])
-    mse_val = posterior_predictive_mse(res, model, y)
-    _write_json(_out_file(args.out, "summary.json"),
-                _summary_snapshot(res.summary,
-                                  {"posterior_predictive_mse": mse_val}))
+    summary = _summary_snapshot(res.summary)
+    summary["posterior_predictive_mse"] = posterior_predictive_mse(res, model, y)
+    outputs = {"draws.csv": (res.columns, res.draws), "summary.json": summary}
     config["spec"] = asdict(config["spec"])
-    return ["hier-linear", args.data], config, seed, [args.data, args.config]
+    return (["hier-linear", args.data], config, seed, [args.data, args.config],
+            outputs)
 
 
 def cmd_hier_nonlinear(args):
@@ -369,6 +365,7 @@ def cmd_hier_nonlinear(args):
         raise ValidationError("config 'models' must name at least one model")
     config = {**lengths, "models": list(models),
               "priors": asdict(cfg["priors"])}
+    outputs = {}
 
     if args.data is not None:
         for key in _SIMULATED:
@@ -381,7 +378,7 @@ def cmd_hier_nonlinear(args):
     else:
         data = gen_discount_data(
             seed=seed, **{key: cfg[key] for key in _SIMULATED}).data
-        write_csv(_out_file(args.out, "data.csv"), data.to_table())
+        outputs["data.csv"] = data.to_table()
         config.update({
             "source": "simulated", "nsubj": data.n_subjects,
             "delays": list(data.delays), "truth": asdict(cfg["truth"]),
@@ -393,15 +390,13 @@ def cmd_hier_nonlinear(args):
         sample = sltb_hier_sample if name == "sltb" else normal_hier_sample
         res = sample(data, cfg["priors"], seed=seed + offset, **lengths)
         _emit_warnings(res.summary)
-        write_csv(_out_file(args.out, f"draws_{name}.csv"),
-                  list(res.columns), [list(row) for row in res.draws])
-        _write_json(_out_file(args.out, f"summary_{name}.json"),
-                    _summary_snapshot(res.summary))
+        outputs[f"draws_{name}.csv"] = (res.columns, res.draws)
+        outputs[f"summary_{name}.json"] = _summary_snapshot(res.summary)
         report[name] = {g: res.summary.row(g) for g in _GROUP_NAMES[name]}
-    _write_json(_out_file(args.out, "report.json"), report)
+    outputs["report.json"] = report
 
     command = ["hier-nonlinear"] + ([args.data] if args.data else [])
-    return command, config, seed, [args.data, args.config]
+    return command, config, seed, [args.data, args.config], outputs
 
 
 def cmd_density(args):
@@ -429,11 +424,11 @@ def cmd_density(args):
                 "no density.csv written")
     beta_col = np.full(args.grid_n, None)  # beta is undefined at 0 and 1
     beta_col[interior] = beta_vals
-    write_csv(_out_file(args.out, "density.csv"),
-              ["g", "sltb_pdf", "beta_pdf"], zip(g, dens, beta_col))
+    outputs = {"density.csv": (["g", "sltb_pdf", "beta_pdf"],
+                               zip(g, dens, beta_col))}
     config = {"mu": args.mu, "phi": args.phi, "s": s, "l": l,
               "grid_n": args.grid_n, "preset": args.preset}
-    return ["density"], config, None, []
+    return ["density"], config, None, [], outputs
 
 
 # ---------------------------------------------------------------------------
@@ -504,14 +499,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = _utc_now()
     try:
-        command, config, seed, inputs = args.handler(args)
-        _write_json(_out_file(args.out, "manifest.json"), {
+        command, config, seed, inputs, outputs = args.handler(args)
+        outputs["manifest.json"] = {
             "command": command, "config": config, "seed": seed,
             "version": __version__, "environment": {
                 "python": platform.python_version(), "numpy": np.__version__,
                 "scipy": scipy.__version__, "cpu_count": os.cpu_count()},
             "inputs": {p: _sha256(p) for p in inputs if p is not None},
-            "started": started, "finished": _utc_now()})
+            "started": started, "finished": _utc_now()}
+        write_outputs(args.out, outputs)
         return EXIT_OK
     except (ValidationError, DomainError, BoundaryError) as e:
         print(f"error: {e}", file=sys.stderr)

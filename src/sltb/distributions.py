@@ -105,6 +105,16 @@ def check_scale_location(s: float, l: float) -> None:
             f"{1.0 / s + l} > 1 for s={s}, l={l}")
 
 
+def check_boundary_window(g, s: float, l: float) -> None:
+    """Refuse an s and l that map a response g at 0 or 1 onto the edge of
+    the beta support, where the density is 0 or infinite."""
+    x = np.asarray(g, dtype=float) / s + l
+    if np.any(x <= 0.0) or np.any(x >= 1.0):
+        raise DomainError(
+            "boundary evaluation requires l > 0 and 1/s + l < 1; with "
+            f"s={s}, l={l} a response at 0 or 1 maps onto the beta boundary")
+
+
 @dataclass(frozen=True)
 class SltbParams:
     """Full parameterization of the SLTB law: (mu, phi) plus scale s and
@@ -276,19 +286,14 @@ def sltb_log_normalizer_partials(mu, phi, s, l):
     """
     a = mu * phi
     b = (1.0 - mu) * phi
-    if np.shape(a) != np.shape(b):
-        a, b = np.broadcast_arrays(a, b)
     # the lower tail I_l(a, b) and the upper I_eps(b, a); a tail at x = 0 is 0
     p, q = np.stack((a, b)), np.stack((b, a))
     x = np.array([l, (s - 1.0 - l * s) / s]).reshape((2,) + (1,) * np.ndim(a))
     tail = _sp.betainc(p, q, x)
-    if (x > 0.0).all():
-        d_p, d_q = _tail_log_partials(p, q, x)
-    else:
-        d_p, d_q = np.zeros((2,) + p.shape)
-        live = x.ravel() > 0.0
-        if live.any():
-            d_p[live], d_q[live] = _tail_log_partials(p[live], q[live], x[live])
+    live = slice(0 if l > 0.0 else 1, 2 if x.flat[1] > 0.0 else 1)
+    d_p, d_q = np.zeros((2,) + p.shape)
+    if live.start < live.stop:
+        d_p[live], d_q[live] = _tail_log_partials(p[live], q[live], x[live])
     with np.errstate(divide="ignore", invalid="ignore"):
         d_p = np.where(tail > 0.0, tail * d_p, 0.0)
         d_q = np.where(tail > 0.0, tail * d_q, 0.0)
@@ -370,12 +375,7 @@ def beta_logpdf(p: BetaMuPhi, y: float) -> float:
 def sltb_logpdf(p: SltbParams, g):
     """SLTB log-density on the closed interval [0,1], finite at both ends."""
     arr = _unit_interval(g, "g")
-    x = arr / p.s + p.l
-    if not p.boundary_safe() and (np.any(x <= 0.0) or np.any(x >= 1.0)):
-        raise DomainError(
-            "boundary evaluation requires l > 0 and 1/s + l < 1; with "
-            f"s={p.s}, l={p.l} the point maps onto the beta boundary"
-        )
+    check_boundary_window(arr, p.s, p.l)
     return _shaped_like(g, sltb_logpdf_arrays(p.mu, p.phi, p.s, p.l, arr))
 
 

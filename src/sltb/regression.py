@@ -25,6 +25,7 @@ from .distributions import (
     DEFAULT_L,
     DEFAULT_S,
     beta_logpdf_arrays,
+    check_boundary_window,
     check_scale_location,
     log_x_pair,
     sltb_log_normalizer_partials,
@@ -329,6 +330,7 @@ def fit_mle(spec: RegressionSpec, data: TabularDataset, family: str = "sltb",
             return loglik_beta(theta, X, y)
     else:
         # y is fixed for the fit and response_vector has checked it
+        check_boundary_window(y, s, l)
         logs = log_x_pair(y, s, l)[2:]
 
         def ll(theta):

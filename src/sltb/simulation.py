@@ -163,7 +163,6 @@ def run_study(cfg: SimConfig, methods: Sequence[str] = ("sltb",),
             records = list(pool.map(_run_one_rep, [cfg] * cfg.reps,
                                     range(cfg.reps), [methods] * cfg.reps,
                                     chunksize=max(1, cfg.reps // (4 * threads))))
-    records.sort(key=lambda r: r.rep_index)
 
     n_boundary = sum(1 for r in records if r.used)
     truth = np.asarray(cfg.beta_true)

@@ -1,5 +1,6 @@
 """Hierarchical random-intercept sampler: likelihood, blocks, chains."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -166,6 +167,16 @@ def test_sigma_stays_inside_prior_support():
     sigma = np.sqrt(res.draws[:, res.columns.index("sigma2")])
     assert np.all((sigma > 0.0) & (sigma < model.sigma_upper))
     assert len(set(sigma)) > 1  # the walk moved
+
+
+def test_chain_starts_inside_a_small_sigma_upper():
+    # sigma = 1, the usual start, is outside Uniform(0, 0.5)
+    model = dataclasses.replace(tiny_model(), sigma_upper=0.5)
+    assert initial_state(model, tiny_y(model)).sigma2 == 0.25 ** 2
+    res = run_chain(model, tiny_y(model), iters=300, burnin=100, thin=1, seed=3)
+    sigma2 = res.draws[:, res.columns.index("sigma2")]
+    assert np.all(sigma2 < 0.25)
+    assert len(set(sigma2)) > 1  # the walk moved
 
 
 # ----------------------------------------------------------------- chains

@@ -27,14 +27,14 @@ from sltb.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
-    _write_json,
     load_spec,
     main,
     resolve_seed,
+    write_outputs,
 )
 from sltb.data import TabularDataset, read_csv, write_csv
 from sltb.errors import NumericalError, ValidationError
-from sltb.simulation import SimConfig, gen_dataset
+from sltb.simulation import McStudyReport, SimConfig, gen_dataset
 
 
 def test_write_csv_dataset_round_trip(tmp_path):
@@ -85,6 +85,15 @@ def alcohol_csv(tmp_path_factory):
     fx = gen_alcohol_fixture(n_counties=8, rows=160, seed=99)
     write_csv(str(root / "alc.csv"), fx.data)
     return root / "alc.csv"
+
+
+@pytest.fixture(scope="module")
+def alcohol_zeros_csv(tmp_path_factory):
+    # rounded to 3 decimals, 7 of the 160 responses are exact zeros
+    root = tmp_path_factory.mktemp("alc_zeros_inputs")
+    fx = gen_alcohol_fixture(n_counties=8, rows=160, seed=99, rounding_decimals=3)
+    write_csv(str(root / "alc3.csv"), fx.data)
+    return root / "alc3.csv"
 
 
 # --- seed resolution --------------------------------------------------------
@@ -177,12 +186,13 @@ def test_fit_mse_json_is_strict_json(fit_files, tmp_path):
 
 def test_write_json_refuses_non_finite_values(fit_files, tmp_path,
                                               monkeypatch, capsys):
-    path = tmp_path / "x.json"
+    out = tmp_path / "x"
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(NumericalError, match="x.json not written"):
-            _write_json(str(path), {"value": [1.0, bad]})
-        assert not path.exists()
-    # a command whose output would hold NaN exits 3 and leaves no such file
+            write_outputs(str(out), {"a.csv": (["v"], [[1.0]]),
+                                     "x.json": {"value": [1.0, bad]}})
+        assert not out.exists()
+    # a command whose output would hold NaN exits 3 and writes nothing
     monkeypatch.setattr(sltb.cli, "mse_report",
                         lambda *args: {"overall": float("nan")})
     out = tmp_path / "out"
@@ -190,8 +200,7 @@ def test_write_json_refuses_non_finite_values(fit_files, tmp_path,
                  "--spec", str(fit_files / "spec.json"),
                  "--out", str(out)]) == EXIT_NUMERICAL
     assert "mse.json not written" in capsys.readouterr().err
-    assert not (out / "mse.json").exists()
-    assert not (out / "manifest.json").exists()
+    assert not out.exists()
 
 
 def test_fit_replay_byte_identical(fit_files, tmp_path):
@@ -481,6 +490,7 @@ def test_density_validation(tmp_path, capsys):
 # --- malformed input --------------------------------------------------------
 
 _FIT = ["fit", "--data", "@fit-data", "--spec", "@fit-spec"]
+_INF, _NAN = float("inf"), float("nan")  # json.dumps writes Infinity and NaN
 
 
 @pytest.mark.parametrize("argv, config, code, message", [
@@ -533,18 +543,50 @@ _FIT = ["fit", "--data", "@fit-data", "--spec", "@fit-spec"]
      "config 'base_seed' must be an integer, got '3'"),
     (["hier-nonlinear"], {"nsubj": 3, "rounding_decimals": -1},
      EXIT_VALIDATION, "rounding_decimals must be >= 0 or None"),
+    (["simulate"], {"n": 20, "reps": 2, "phi_true": _INF}, EXIT_VALIDATION,
+     "config 'phi_true' must be a number, got inf"),
+    (["simulate"], {"n": 20, "reps": 2, "beta_true": [_NAN, 0, 0, 0]},
+     EXIT_VALIDATION,
+     "config 'beta_true' must be a list of numbers, got [nan, 0, 0, 0]"),
+    (["hier-nonlinear"], {"nsubj": 3, "priors": {"lam2_psi0": _NAN}},
+     EXIT_VALIDATION, "priors 'lam2_psi0' must be a number, got nan"),
+    (["hier-nonlinear"], {"nsubj": 3, "delays": [1, 2, _INF]}, EXIT_VALIDATION,
+     "config 'delays' must be a list of numbers, got [1, 2, inf]"),
+    (["hier-nonlinear"], {"nsubj": 3, "truth": {"sigma2_psi": _INF}},
+     EXIT_VALIDATION, "truth 'sigma2_psi' must be a number, got inf"),
+    (["hier-linear", "--data", "@alc"], {"prior_variance": _INF},
+     EXIT_VALIDATION, "config 'prior_variance' must be a number, got inf"),
+    (["hier-linear", "--data", "@alc"], {"s": 0.5}, EXIT_VALIDATION,
+     "1/s + l = 2.000000001 > 1 for s=0.5"),
+    (["hier-linear", "--data", "@alc"], {"l": -0.1}, EXIT_VALIDATION,
+     "location l must be finite and nonnegative, got -0.1"),
+    (_FIT + ["--s", "1", "--l", "0"], None, EXIT_VALIDATION,
+     "with s=1.0, l=0.0 a response at 0 or 1 maps onto the beta boundary"),
+    (["hier-linear", "--data", "@alc-zeros"], {"s": 1, "l": 0}, EXIT_VALIDATION,
+     "with s=1.0, l=0.0 a response at 0 or 1 maps onto the beta boundary"),
 ], ids=["density-tiny-phi", "density-inf-phi", "spec-without-response", "iters-not-int",
         "prior-not-number", "n-not-int", "beta-true-not-list",
         "rounding-not-int", "methods-not-list", "delays-not-list",
         "models-not-list", "fit-s-below-one", "fit-l-negative", "fit-s-nan",
         "fit-l-inf", "density-s-inf", "nonlinear-iters-not-above-burnin",
         "n-not-integral", "reps-bool", "rounding-not-integral",
-        "delay-string", "truth-bool", "seed-string", "rounding-negative"])
+        "delay-string", "truth-bool", "seed-string", "rounding-negative",
+        "phi-true-inf", "beta-true-nan", "prior-nan", "delay-inf", "truth-inf",
+        "prior-variance-inf", "hier-linear-s-below-one",
+        "hier-linear-l-negative", "fit-window-at-ones",
+        "hier-linear-window-at-zeros"])
 def test_malformed_input_exits_with_message(argv, config, code, message,
-                                            alcohol_csv, fit_files, tmp_path,
-                                            capsys):
-    inputs = {"@alc": alcohol_csv, "@fit-data": fit_files / "data.csv",
+                                            alcohol_csv, alcohol_zeros_csv,
+                                            fit_files, tmp_path, capsys):
+    inputs = {"@alc": alcohol_csv, "@alc-zeros": alcohol_zeros_csv,
+              "@fit-data": fit_files / "data.csv",
               "@fit-spec": fit_files / "spec.json"}
+    _assert_refused(argv, config, inputs, code, message, tmp_path, capsys)
+
+
+def _assert_refused(argv, config, inputs, code, message, tmp_path, capsys):
+    """Run `argv`, its "@" names replaced from `inputs`, with `config` as its
+    --config file; it must exit `code` with `message` and write nothing."""
     argv = [str(inputs.get(a, a)) for a in argv]
     if config is not None:
         cfg = tmp_path / "cfg.json"
@@ -557,6 +599,48 @@ def test_malformed_input_exits_with_message(argv, config, code, message,
     assert message in err
     assert "Traceback" not in err
     assert not out.exists()  # nothing written, not even the directory
+
+
+# --- a failure after the last compute step writes nothing --------------------
+
+_TO_DICT = McStudyReport.to_dict
+_SHORT_CHAIN = {"iters": 40, "burnin": 10, "thin": 1}
+
+
+def _nan(*args, **kwargs):
+    return _NAN
+
+
+def _summary_with_nan(report, include_timing=True):
+    return {**_TO_DICT(report, include_timing), "mean_mse": {"sltb": _NAN}}
+
+
+def _sampler_fails(*args, **kwargs):
+    raise NumericalError("the normal sampler failed")
+
+
+@pytest.mark.parametrize("argv, config, patch, message", [
+    (_FIT, None, (sltb.cli, "mse_report", lambda *args: {"overall": _NAN}),
+     "mse.json not written"),
+    (["simulate"], {"n": 20, "reps": 2},
+     (McStudyReport, "to_dict", _summary_with_nan), "summary.json not written"),
+    (["hier-linear", "--data", "@alc"], _SHORT_CHAIN,
+     (sltb.cli, "posterior_predictive_mse", _nan), "summary.json not written"),
+    (["hier-nonlinear"], {"nsubj": 3, **_SHORT_CHAIN},
+     (sltb.cli, "normal_hier_sample", _sampler_fails),
+     "the normal sampler failed"),
+    (["density", "--mu", "0.5", "--phi", "4"], None,
+     (sltb.cli, "sltb_pdf", lambda p, g: np.full(np.shape(g), _NAN)),
+     "sltb_pdf is nan at grid point g=0.0"),
+], ids=["fit", "simulate", "hier-linear", "hier-nonlinear", "density"])
+def test_failure_after_compute_writes_nothing(argv, config, patch, message,
+                                              alcohol_csv, fit_files, tmp_path,
+                                              monkeypatch, capsys):
+    monkeypatch.setattr(*patch)
+    inputs = {"@alc": alcohol_csv, "@fit-data": fit_files / "data.csv",
+              "@fit-spec": fit_files / "spec.json"}
+    _assert_refused(argv, config, inputs, EXIT_NUMERICAL, message, tmp_path,
+                    capsys)
 
 
 # --- resolved defaults ----------------------------------------------------------
