@@ -86,8 +86,7 @@ def rw_update(rng: Rng, x: np.ndarray, center: float, var: float,
     new_lik = lik(prop)
     log_r = (new_lik - cur_lik
              + ((x - center) ** 2 - (prop - center) ** 2) / (2.0 * var))
-    with np.errstate(invalid="ignore"):
-        accept = np.log(np.asarray(rng.uniform(size=len(x)))) < log_r
+    accept = np.log(np.asarray(rng.uniform(size=len(x)))) < log_r
     return (np.where(accept, prop, x), np.where(accept, new_lik, cur_lik),
             accept)
 

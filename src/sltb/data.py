@@ -161,12 +161,17 @@ def write_csv(path: str, table: Union[TabularDataset, Sequence[str]],
 
 def _format_column(col) -> list:
     """The cells of one column as text: in one pass where every cell is a
-    float, else cell by cell."""
+    float, or a float or None, else cell by cell."""
     if isinstance(col, np.ndarray):
         col = col.tolist()
+    text = float.__repr__
     try:
-        return list(map(float.__repr__, col))
+        return list(map(text, col))
     except TypeError:  # a cell that is not a float
+        pass
+    try:
+        return ["" if c is None else text(c) for c in col]
+    except TypeError:  # a cell that is neither a float nor None
         return [_format_cell(c) for c in col]
 
 

@@ -8,6 +8,12 @@ indistinguishable from the beta on the interior yet stays finite and
 positive at g = 0 and g = 1, which is what lets likelihoods accept
 boundary observations.
 
+The truncation normalizer Z = 1 - I_l(a,b) - I_eps(b,a) sums each beta
+tail's DLMF 8.17.8 series on the ln B that the density core computes, with
+one term count from a scalar ratio bound; `betainc` still serves small
+calls, wide windows, and the rows where a large phi or 1 - tail cancelling
+would cost the series its accuracy (`sltb_log_normalizer_arrays`).
+
 The density, its normalizer and the cdf each have one vectorized
 ``*_arrays`` core. The public functions take an ``SltbParams`` and a
 scalar or array argument, check its domain, and return a float for a
@@ -30,14 +36,18 @@ DEFAULT_L = 1e-9
 
 _SUPPORT_TOL = 4.0 * np.finfo(float).eps
 
-# sltb_log_normalizer_arrays' tail skip; its test costs 15-20 us a call.
-# Normalizer us, both tails -> skip (2-core x86, min of 11 x 200 calls), at
-# 20/192/256/384/1,340 rows: hier-linear regime (phi 38, mu 0.05-0.47)
-# 19->36, 58->42, 83->52, 132->65, 436->173; study (phi 10, mu 0.05-0.95)
-# 18->39, 45->75, 65->69, 100->94, 420->336; nonlinear (phi 1-100,
-# mu 0.02-0.98) 18->37, 54->51, 83->80, 100->92, 498->415.
-_SKIP_GAP = 41.0
-_SKIP_MIN_ROWS = 256
+# sltb_log_normalizer_arrays sums the tails' DLMF 8.17.8 series on calls of
+# at least _SERIES_MIN_ROWS rows whose ratio bound is below _SERIES_MAX_RATIO
+# (at most six terms), and `betainc` takes the rest. The series' fixed cost
+# is about 30 us a call.
+# Normalizer us, betainc -> series (2-core x86, min of 41 x 50 calls), at
+# 24/48/96/126/192/252/600 rows: hier-linear regime (phi 38, mu 0.05-0.47)
+# 12->28, 17->27, 28->32, 40->32, 48->32, 64->37, 144->48; study (phi 10,
+# mu 0.05-0.95) 11->26, 16->28, 27->32, 32->32, 42->31, 55->35, 119->44;
+# nonlinear (phi 1-40 per subject, mu 0.02-0.98) 13->35, 15->29, 27->35,
+# 33->37, 47->39, 63->44, 136->57.
+_SERIES_MIN_ROWS = 128
+_SERIES_MAX_RATIO = 1e-3
 
 # most series terms `_tail_log_partials` sums for one normalizer tail, how
 # many it sums in one array operation, and the powers of x it tries as the
@@ -123,8 +133,8 @@ class SltbParams:
     The transformed support must sit inside the closed unit interval of
     the base beta:  l >= 0 and 1/s + l <= 1.  Boundary evaluation (g at
     exactly 0 or 1) additionally requires the strict version l > 0 and
-    1/s + l < 1; params with s = 1, l = 0 are legal for interior work and
-    reduce every formula to the plain beta.
+    1/s + l < 1 (`check_boundary_window`); params with s = 1, l = 0 are
+    legal for interior work and reduce every formula to the plain beta.
     """
 
     mu: float
@@ -142,21 +152,14 @@ class SltbParams:
     def beta_shape(self) -> float:
         return (1.0 - self.mu) * self.phi
 
-    def boundary_safe(self) -> bool:
-        """True when g in {0,1} maps strictly inside the beta support."""
-        return self.l > 0.0 and 1.0 / self.s + self.l < 1.0
-
 
 # ---------------------------------------------------------------------------
 # vectorized cores
 # ---------------------------------------------------------------------------
 
-def _beta_log_core(a, b, ln_x, ln_1mx):
-    """ln f_beta(x) for shapes (a, b), given ln x and ln(1-x)."""
-    return (
-        _sp.gammaln(a + b) - _sp.gammaln(a) - _sp.gammaln(b)
-        + (a - 1.0) * ln_x + (b - 1.0) * ln_1mx
-    )
+def _log_inv_beta(a, b):
+    """-ln B(a, b) = lnΓ(a+b) - lnΓ(a) - lnΓ(b), the density core's first term."""
+    return _sp.gammaln(a + b) - _sp.gammaln(a) - _sp.gammaln(b)
 
 
 def beta_logpdf_arrays(mu, phi, y):
@@ -164,7 +167,8 @@ def beta_logpdf_arrays(mu, phi, y):
 
     No domain checking; callers guarantee 0 < y < 1 and 0 < mu < 1.
     """
-    return _beta_log_core(mu * phi, (1.0 - mu) * phi, np.log(y), np.log1p(-y))
+    a, b = mu * phi, (1.0 - mu) * phi
+    return _log_inv_beta(a, b) + (a - 1.0) * np.log(y) + (b - 1.0) * np.log1p(-y)
 
 
 def log_x_pair(g, s, l):
@@ -183,38 +187,68 @@ def log_x_pair(g, s, l):
     return x, one_minus, ln_x, ln_1mx
 
 
-def sltb_log_normalizer_arrays(mu, phi, s, l):
-    """ln of the truncation normalizer F_beta(1/s + l) - F_beta(l).
+def sltb_log_normalizer_arrays(mu, phi, s, l, ln_b=None):
+    """ln of the truncation normalizer Z = 1 - I_l(a,b) - I_eps(b,a), with
+    shapes a = mu*phi, b = (1-mu)*phi and eps = 1 - (1/s + l).
 
-    Both tails are evaluated in complement form so nothing is lost to
-    rounding when s - 1 and l are around 1e-9. The normalizer is strictly
-    positive mathematically, but at parameters that put essentially all
-    beta mass outside the window (shape parameters near denormal range)
-    the excluded tail rounds to 1 and the result underflows to -inf.
+    Each tail is the DLMF 8.17.8 series I_x(p,q) = x^p (1-x)^q / (p B(p,q))
+    * S, S = sum_k t_k, t_0 = 1, t_k+1 = t_k (p+q+k) x / (p+1+k), all terms
+    positive. Each term is at most r = max(phi, 1) * max(l, eps) times the
+    one before, so n terms, the least n with r^n / (1-r) <= 1e-17, sum S to
+    a rounding. ln_b is -ln B(a,b); the density passes the one its core
+    computed, and a standalone call computes it. x^p (1-x)^q / B(p,q) is
+    taken as the square of its root, so that x^p cannot underflow before
+    the tail does.
 
-    A tail is skipped where it cannot change a bit of the sum. By the
-    leading terms of DLMF 8.17.8, ln(I_eps(b,a) / I_l(a,b)) is
-    gap = b ln eps - a ln l + ln(a/b) (B(a,b) cancels) plus slack terms
-    each at most about phi*max(l, eps) in size. Where max(phi)*max(l, eps)
-    < 1e-3, a tail with |gap| > 41 > ln(4*2**55) + 1 is below a quarter ulp
-    of the other, so the sum rounds to the other exactly. Rows where gap is
-    NaN, and calls of fewer than _SKIP_MIN_ROWS rows (where the test costs
-    more than it saves), keep both tails.
+    `betainc` computes the tails where the series is not the better tool:
+    - calls of fewer than _SERIES_MIN_ROWS rows, where its fixed cost is
+      the larger, calls whose r is not below _SERIES_MAX_RATIO, and calls
+      with every phi above 60, where the rule below takes every row;
+    - rows with Z < (phi + 4)/64, and rows whose series is not finite (a
+      shape at 0, NaN or inf). The lnΓ difference in ln_b is good to a few
+      ulps of lnΓ(phi), and 1 - tail amplifies a tail's error by up to
+      1/Z, so the series' relative error in ln Z grows as (phi + 4)/Z: at
+      most 1.6e-15 (phi + 4)/Z in an mpmath scan of 13,000 rows with phi
+      from 1e-3 to 100. The rule keeps it below 1e-13, and leaves no row
+      with phi above 60 on the series.
+    The normalizer is strictly positive mathematically, but where the
+    window holds no representable mass the tails round to 1 and the result
+    is -inf. No domain checking.
     """
     a = mu * phi
     b = (1.0 - mu) * phi
-    eps_hi = (s - 1.0 - l * s) / s  # 1 - (1/s + l), computed stably
-    if np.size(a) >= _SKIP_MIN_ROWS and np.max(phi) * max(l, eps_hi) < 1e-3:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gap = b * np.log(eps_hi) - a * np.log(l) + np.log(a / b)
-        tail = (_sp.betainc(b, a, eps_hi, out=np.zeros(gap.shape),
-                            where=~(gap < -_SKIP_GAP))
-                + _sp.betainc(a, b, l, out=np.zeros(gap.shape),
-                              where=~(gap > _SKIP_GAP)))
-    else:
-        tail = _sp.betainc(b, a, eps_hi) + _sp.betainc(a, b, l)
-    with np.errstate(divide="ignore"):
-        return np.log1p(-np.minimum(tail, 1.0))
+    eps = (s - 1.0 - l * s) / s  # 1 - (1/s + l), computed stably
+    with np.errstate(all="ignore"):  # rows that go on to `betainc` may overflow
+        if np.size(a) < _SERIES_MIN_ROWS:
+            return np.log1p(-_betainc_tails(a, b, l, eps))
+        phi_max = phi.max() if np.ndim(phi) else phi
+        r = max(phi_max, 1.0) * max(l, eps)
+        if not r < _SERIES_MAX_RATIO or (phi_max + 4.0 > 64.0
+                                         and np.min(phi) + 4.0 > 64.0):
+            return np.log1p(-_betainc_tails(a, b, l, eps))
+        if ln_b is None:
+            ln_b = _log_inv_beta(a, b)
+        p = np.array((a, b))  # the lower tail's first shape, then the upper's
+        x = np.array([l, eps]).reshape((2,) + (1,) * a.ndim)
+        n = 1 if r == 0.0 else max(
+            math.ceil(math.log(1e-17 * (1.0 - r)) / math.log(r)), 1)
+        p1 = p + 1.0
+        series = 1.0
+        for k in range(n - 2, -1, -1):  # Horner: S = 1 + t_1 (1 + t_2/t_1 (...))
+            series = series * ((phi + k) * x) / (p1 + k) + 1.0
+        root = (np.power(x, 0.5 * p)
+                * np.exp(p[::-1] * (0.5 * np.log1p(-x)) + 0.5 * ln_b))
+        tail = root * root * series / p
+        tail = tail[0] + tail[1]
+        if not tail.max() <= 1.0 - (phi_max + 4.0) / 64.0:
+            redo = ~((1.0 - tail) * 64.0 >= phi + 4.0)
+            tail[redo] = _betainc_tails(a[redo], b[redo], l, eps)
+        return np.log1p(-tail)
+
+
+def _betainc_tails(a, b, l, eps):
+    """I_eps(b,a) + I_l(a,b) by `betainc`, capped at 1."""
+    return np.minimum(_sp.betainc(b, a, eps) + _sp.betainc(a, b, l), 1.0)
 
 
 def _tail_log_partials(p, q, x):
@@ -312,8 +346,10 @@ def sltb_logpdf_arrays(mu, phi, s, l, g, logs=None):
     such as a fit's objective, computes it once and passes it in.
     """
     ln_x, ln_1mx = log_x_pair(g, s, l)[2:] if logs is None else logs
-    core = _beta_log_core(mu * phi, (1.0 - mu) * phi, ln_x, ln_1mx) - np.log(s)
-    log_norm = sltb_log_normalizer_arrays(mu, phi, s, l)
+    a, b = mu * phi, (1.0 - mu) * phi
+    ln_b = _log_inv_beta(a, b)
+    core = ln_b + (a - 1.0) * ln_x + (b - 1.0) * ln_1mx - np.log(s)
+    log_norm = sltb_log_normalizer_arrays(mu, phi, s, l, ln_b)
     # an underflowed normalizer means the window holds no representable
     # mass; report log 0 there instead of a sign-flipped overflow
     with np.errstate(invalid="ignore"):

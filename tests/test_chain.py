@@ -1,5 +1,7 @@
 """The shared chain parts: sweep loop, random-walk step, summary."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -56,12 +58,17 @@ def test_rw_update_is_one_metropolis_step_per_element():
 
 
 def test_rw_update_rejects_unusable_proposals():
+    # a proposal whose log-likelihood is -inf or NaN is rejected, and its
+    # log acceptance ratio (-inf or NaN) raises no floating-point warning
     x = np.array([0.0, 1.0, 2.0])
     cur = np.zeros(3)
-    out, lik, accept = rw_update(Rng(1), x, 0.0, 1.0, cur,
-                                 lambda p: np.full(p.size, -np.inf))
-    assert not accept.any()
-    assert np.array_equal(out, x) and np.array_equal(lik, cur)
+    for unusable in (-np.inf, np.nan):
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error")
+            out, lik, accept = rw_update(Rng(1), x, 0.0, 1.0, cur,
+                                         lambda p: np.full(p.size, unusable))
+        assert not accept.any()
+        assert np.array_equal(out, x) and np.array_equal(lik, cur)
 
 
 def test_summarize_warns_on_rates_outside_the_band():

@@ -136,10 +136,11 @@ def test_sltb_params_defaults_and_validation():
     p = SltbParams(0.5, 4.0)
     assert p.s == 1.0 + 10.0 ** -8.5
     assert p.l == 1e-9
-    assert p.boundary_safe()
+    dist.check_boundary_window([0.0, 1.0], p.s, p.l)  # g at 0 and 1 is held
     assert 0.0 < p.l and 1.0 / p.s + p.l < 1.0
     identity = SltbParams(0.5, 4.0, s=1.0, l=0.0)
-    assert not identity.boundary_safe()
+    with pytest.raises(DomainError, match="beta boundary"):
+        dist.check_boundary_window([0.0, 1.0], identity.s, identity.l)
     with pytest.raises(DomainError):
         SltbParams(0.5, 4.0, s=1.0, l=0.1)  # support pokes past 1
     with pytest.raises(DomainError):
@@ -267,12 +268,12 @@ def test_normalizer_heavy_truncation_small_shapes():
 
 
 # ---------------------------------------------------------------------------
-# negligible-tail skip: bit for bit the two-tail normalizer
+# series normalizer: the two-betainc form as its oracle
 # ---------------------------------------------------------------------------
 
 def two_tail_log_normalizer(mu, phi, s, l):
-    """The log-normalizer with both beta tails evaluated on every row: the
-    reference that the tail skip must reproduce bit for bit."""
+    """The log-normalizer from both beta tails by `betainc` on every row:
+    the form the series normalizer replaces, kept as its oracle."""
     a, b = mu * phi, (1.0 - mu) * phi
     eps_hi = (s - 1.0 - l * s) / s
     tail = sp.betainc(b, a, eps_hi) + sp.betainc(a, b, l)
@@ -280,9 +281,18 @@ def two_tail_log_normalizer(mu, phi, s, l):
         return np.log1p(-np.minimum(tail, 1.0))
 
 
+def written_out_density_core(mu, phi, s, l, g):
+    """ln f_beta(g/s + l) - ln s, written out in the density core's order
+    of operations, so that the core can be held to it bit for bit."""
+    a, b = mu * phi, (1.0 - mu) * phi
+    ln_x, ln_1mx = dist.log_x_pair(g, s, l)[2:]
+    return (sp.gammaln(a + b) - sp.gammaln(a) - sp.gammaln(b)
+            + (a - 1.0) * ln_x + (b - 1.0) * ln_1mx) - np.log(s)
+
+
 class BetaincSpy:
     """Stands in for scipy.special in `distributions`, counting the beta
-    tails that `betainc` evaluates (the rows its `where` mask selects)."""
+    tails that `betainc` evaluates."""
 
     def __init__(self):
         self.evaluated = 0
@@ -290,9 +300,9 @@ class BetaincSpy:
     def __getattr__(self, name):
         return getattr(sp, name)
 
-    def betainc(self, a, b, x, **kw):
-        out = sp.betainc(a, b, x, **kw)
-        self.evaluated += int(np.count_nonzero(kw.get("where", np.ones(np.shape(out)))))
+    def betainc(self, a, b, x):
+        out = sp.betainc(a, b, x)
+        self.evaluated += int(np.size(out))
         return out
 
 
@@ -303,27 +313,45 @@ def _assert_same_bits(got, want):
     assert same.all(), f"{np.count_nonzero(~same)} of {same.size} values differ"
 
 
+# Each form is within 1e-13 of the exact log-normalizer (the mpmath corner
+# test below), so the two are within twice that of each other. Where the
+# excluded tail underflows, ln Z is below the smallest normal float in size
+# and the comparison is absolute.
+_FORMS_RTOL = 2e-13
+_TINY = np.finfo(float).tiny
+
+
+def _assert_within_gate(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    with np.errstate(invalid="ignore"):
+        close = np.abs(got - want) <= np.maximum(_FORMS_RTOL * np.abs(want),
+                                                 _TINY)
+    ok = close | (got == want) | (np.isnan(got) & np.isnan(want))
+    bad = np.flatnonzero(~ok)
+    assert bad.size == 0, (f"{bad.size} of {ok.size} values differ, first "
+                           f"{got.flat[bad[0]]!r} against {want.flat[bad[0]]!r}")
+
+
 def _check_against_two_tails(monkeypatch, mu, phi, s, l, g):
-    """Normalizer and log-density equal the two-tail form bit for bit;
-    returns whether the normalizer skipped any tail."""
-    with monkeypatch.context() as m:
-        m.setattr(dist, "sltb_log_normalizer_arrays", two_tail_log_normalizer)
-        with np.errstate(all="ignore"):
-            want_logpdf = dist.sltb_logpdf_arrays(mu, phi, s, l, g)
+    """The normalizer agrees with the two-betainc form within the accuracy
+    gate, and the log-density is the unchanged core minus that normalizer,
+    bit for bit; returns how many tails `betainc` evaluated."""
     spy = BetaincSpy()
     monkeypatch.setattr(dist, "_sp", spy)
     with np.errstate(all="ignore"):
         got = dist.sltb_log_normalizer_arrays(mu, phi, s, l)
         evaluated = spy.evaluated
-        _assert_same_bits(got, two_tail_log_normalizer(mu, phi, s, l))
-        _assert_same_bits(dist.sltb_logpdf_arrays(mu, phi, s, l, g), want_logpdf)
-    return evaluated < 2 * np.size(got)
+        _assert_within_gate(got, two_tail_log_normalizer(mu, phi, s, l))
+        core = written_out_density_core(mu, phi, s, l, g)
+        _assert_same_bits(dist.sltb_logpdf_arrays(mu, phi, s, l, g),
+                          np.where(np.isfinite(got), core - got, -np.inf))
+    return evaluated
 
 
 def _random_rows(rng, shape):
     """mu log-uniform on [1e-300, 1/2] or 1 - mu on [1e-16, 1/2], with a
-    few NaNs (whose gap is NaN, so both tails must be kept), and g uniform
-    on [0, 1] with exact 0s and 1s."""
+    few NaNs, and g uniform on [0, 1] with exact 0s and 1s."""
     mu = np.where(rng.random(shape) < 0.5,
                   10.0 ** rng.uniform(-300.0, -0.3, shape),
                   1.0 - 10.0 ** rng.uniform(-16.0, -0.3, shape))
@@ -338,44 +366,188 @@ _WINDOWS = {"default": (DEFAULT_S, DEFAULT_L), "illustration": (1.08, 0.04),
             "narrow": (1.0 + 1e-6, 1e-7)}
 
 
-@pytest.mark.parametrize("window, phi_log10, skips", [
-    # max(phi)*max(l, eps) < 1e-3: the skip is valid and taken
+@pytest.mark.parametrize("window, phi_log10, series", [
+    # r = max(phi, 1) * max(l, eps) below 1e-3: the series, with `betainc`
+    # on the rows where Z < (phi + 4)/64 (nearly all at phi below 1e-3,
+    # and all above phi 60) or the series is not finite
     ("default", (-3.0, 5.0), True),
     ("default", (-320.0, -3.0), True),
-    ("illustration", (-320.0, -3.0), True),
     ("narrow", (-320.0, -3.0), True),
-    # phi too large for the window: both tails on every row
+    ("default", (-3.0, 1.8), True),
+    ("narrow", (-3.0, 1.8), True),
+    # r not small: `betainc` on every row
+    ("illustration", (-320.0, -3.0), False),
     ("default", (-320.0, 22.0), False),
     ("illustration", (-3.0, 5.0), False),
     ("narrow", (-3.0, 5.0), False),
-], ids=["default-moderate", "default-tiny", "illustration-tiny", "narrow-tiny",
-        "default-wide", "illustration-moderate", "narrow-moderate"])
-def test_tail_skip_is_bit_identical_to_two_tails(window, phi_log10, skips,
+], ids=["default-moderate", "default-tiny", "narrow-tiny", "default-series-phi",
+        "narrow-series-phi", "illustration-tiny", "default-wide",
+        "illustration-moderate", "narrow-moderate"])
+def test_tail_skip_is_bit_identical_to_two_tails(window, phi_log10, series,
                                                  monkeypatch):
+    """The series normalizer against the two-betainc form, and the
+    log-density bit for bit against its core minus that normalizer."""
     s, l = _WINDOWS[window]
     rng = np.random.default_rng(41)
     mu, g = _random_rows(rng, 20000)
     phi = 10.0 ** rng.uniform(*phi_log10, 20000)
-    assert _check_against_two_tails(monkeypatch, mu, phi, s, l, g) == skips
+    evaluated = _check_against_two_tails(monkeypatch, mu, phi, s, l, g)
+    assert (evaluated < 2 * mu.size) == series
 
 
-@pytest.mark.parametrize("mu_shape, phi_shape, skips", [
-    ((dist._SKIP_MIN_ROWS - 1,), (dist._SKIP_MIN_ROWS - 1,), False),
-    ((dist._SKIP_MIN_ROWS,), (dist._SKIP_MIN_ROWS,), True),
+def _series_rows(n, rng):
+    """n rows where the series serves every row: mu in [0.05, 0.95], phi
+    in [1, 50] at the default window."""
+    return rng.uniform(0.05, 0.95, n), rng.uniform(1.0, 50.0, n)
+
+
+@pytest.mark.parametrize("kind", ["cancel", "large-phi", "nan"])
+def test_series_hands_its_fallback_rows_to_betainc(kind, monkeypatch):
+    rng = np.random.default_rng(5)
+    mu, phi = _series_rows(300, rng)
+    rows = np.array([3, 77, 150, 299])
+    if kind == "cancel":  # tails near 1: Z is about 4e-8
+        mu[rows], phi[rows] = 1e-6, 1e-3
+    elif kind == "large-phi":  # Z < (phi + 4)/64 at any Z
+        phi[rows] = [60.5, 1e3, 1e5, 4e5]
+    else:
+        mu[rows] = np.nan
+    g = rng.random(300)
+    spy = BetaincSpy()
+    monkeypatch.setattr(dist, "_sp", spy)
+    got = dist.sltb_log_normalizer_arrays(mu, phi, DEFAULT_S, DEFAULT_L)
+    assert spy.evaluated == 2 * rows.size
+    want = two_tail_log_normalizer(mu, phi, DEFAULT_S, DEFAULT_L)
+    _assert_same_bits(got[rows], want[rows])
+    _assert_within_gate(got, want)
+    _check_against_two_tails(monkeypatch, mu, phi, DEFAULT_S, DEFAULT_L, g)
+
+
+@pytest.mark.parametrize("mu_shape, phi_shape, series", [
+    ((dist._SERIES_MIN_ROWS - 1,), (dist._SERIES_MIN_ROWS - 1,), False),
+    ((dist._SERIES_MIN_ROWS,), (dist._SERIES_MIN_ROWS,), True),
     ((1340,), (), True),  # one phi for every row, as a coefficient proposal
     ((100, 6), (100, 1), True),  # subjects by delays, as the nonlinear sampler
     ((), (), False),
 ], ids=["below-row-gate", "at-row-gate", "scalar-phi", "broadcast", "scalar"])
-def test_tail_skip_row_gate_and_shapes(mu_shape, phi_shape, skips, monkeypatch):
+def test_tail_skip_row_gate_and_shapes(mu_shape, phi_shape, series, monkeypatch):
+    """Calls below _SERIES_MIN_ROWS rows take `betainc`, larger ones the
+    series, whatever the shapes of mu and phi."""
     rng = np.random.default_rng(7)
     for _ in range(20):
-        mu, g = _random_rows(rng, mu_shape)
-        phi = 10.0 ** rng.uniform(-3.0, 5.0, phi_shape)
+        mu = rng.uniform(0.05, 0.95, mu_shape)
+        phi = rng.uniform(1.0, 50.0, phi_shape)
+        g = rng.random(mu_shape)
         if mu_shape == ():
             mu, phi = float(mu), float(phi)
-        taken = _check_against_two_tails(monkeypatch, mu, phi, DEFAULT_S,
-                                         DEFAULT_L, g)
-        assert taken == skips
+        evaluated = _check_against_two_tails(monkeypatch, mu, phi, DEFAULT_S,
+                                             DEFAULT_L, g)
+        assert (evaluated == 0) == series
+
+
+# ---------------------------------------------------------------------------
+# mpmath at the corners: phi from 1e-3 to 1e8, mu from 1e-6 to 1 - 1e-6
+# ---------------------------------------------------------------------------
+
+_CORNER_MUS = (1e-6, 1e-3, 0.1, 0.5, 0.9, 1.0 - 1e-3, 1.0 - 1e-6)
+# mpmath's hypergeometric sums do not converge at the illustration window
+# past phi 1e4; there r >= 0.04, so `betainc` serves every call anyway
+_CORNER_WINDOWS = {"default": (DEFAULT_S, DEFAULT_L, 8),
+                   "illustration": (1.08, 0.04, 4)}
+
+
+def _corners(window):
+    s, l, top = _CORNER_WINDOWS[window]
+    for phi in (10.0 ** k for k in range(-3, top + 1)):
+        for mu in _CORNER_MUS:
+            yield SltbParams(mu, phi, s, l)
+
+
+def mp_log_normalizer(p: SltbParams):
+    """50-digit ln Z and the excluded tail I_l(a,b) + I_eps(b,a), from the
+    float parameters (eps = 1 - (1/s + l) exactly in their values)."""
+    mu, phi, s, l = map(mpmath.mpf, (p.mu, p.phi, p.s, p.l))
+    a, b = mu * phi, (1 - mu) * phi
+    tail = (mpmath.betainc(a, b, 0, l, regularized=True)
+            + mpmath.betainc(b, a, 0, 1 - (1 / s + l), regularized=True))
+    if tail < 0.5:
+        return mpmath.log1p(-tail), tail
+    return mpmath.log(mpmath.betainc(a, b, l, 1 / s + l, regularized=True)), tail
+
+
+def _rel_error(got: float, want) -> float:
+    if not math.isfinite(got):
+        return math.inf
+    return float(abs((got - want) / want))
+
+
+@pytest.mark.parametrize("window", list(_CORNER_WINDOWS))
+def test_log_normalizer_matches_mpmath_at_the_corners(window):
+    # a call of _SERIES_MIN_ROWS rows takes the series path, a scalar call
+    # the two-betainc form; the series must be within 1e-13 of mpmath
+    # wherever the betainc form is, and no worse than it elsewhere
+    for p in _corners(window):
+        want, tail = mp_log_normalizer(p)
+        rows = dist.sltb_log_normalizer_arrays(
+            np.full(dist._SERIES_MIN_ROWS, p.mu), p.phi, p.s, p.l)
+        assert np.all(rows == rows[0]) or np.all(np.isnan(rows))
+        got = float(rows[0])
+        ref = float(two_tail_log_normalizer(p.mu, p.phi, p.s, p.l))
+        if tail < _TINY:  # the tail underflows: ln Z is -tail, compare absolutely
+            assert abs(got - float(want)) <= _TINY, (p, got, want)
+            continue
+        err, err_ref = _rel_error(got, want), _rel_error(ref, want)
+        assert err <= 1e-13 or err <= err_ref, (p, err, err_ref)
+
+
+def _has_mass(p: SltbParams) -> bool:
+    return math.isfinite(dist.sltb_log_normalizer_arrays(p.mu, p.phi, p.s, p.l))
+
+
+def _cdf_noise(p: SltbParams) -> float:
+    """Absolute rounding error of `sltb_cdf`: a difference of two beta cdf
+    values, each good to an ulp of 1, divided by the normalizer Z."""
+    return 4.0 * np.finfo(float).eps / normalizer(p)
+
+
+@pytest.mark.parametrize("window", list(_CORNER_WINDOWS))
+def test_cdf_quantile_round_trip_at_the_corners(window):
+    q = np.array([1e-3, 0.1, 0.5, 0.9, 0.999])
+    checked = 0
+    for p in _corners(window):
+        if not _has_mass(p):  # refused, as test_cdf_and_quantile_refuse_... checks
+            continue
+        g = sltb_quantile(p, q)
+        # g is good to a few ulps, which moves the cdf by the density times that
+        slack = (np.exp(sltb_logpdf(p, g)) * np.maximum(g, DEFAULT_L)
+                 * 8 * np.finfo(float).eps)
+        assert np.all(np.abs(sltb_cdf(p, g) - q) <= 1e-9 + _cdf_noise(p) + slack), p
+        checked += 1
+    assert checked >= 45  # of the 84 and 56 corners, all that hold mass
+
+
+@pytest.mark.parametrize("window", list(_CORNER_WINDOWS))
+def test_logpdf_is_the_cdf_derivative_at_the_boundary(window):
+    # the one-sided difference of the cdf at g = 0 and g = 1, Richardson-
+    # extrapolated, against the density from a series-path call; h is a
+    # power of 2 (so 1 - h is exact) well below the scale l*s/max(phi, 1)
+    # on which the density varies there
+    checked = 0
+    for p in _corners(window):
+        if not _has_mass(p):
+            continue
+        h = 2.0 ** math.floor(math.log2(1e-4 * p.l * p.s / max(p.phi, 1.0)))
+        for g0, side in ((0.0, 1.0), (1.0, -1.0)):
+            base = sltb_cdf(p, g0)
+            step = lambda k: side * (sltb_cdf(p, g0 + side * h / k) - base)
+            if step(2.0) < 1e7 * _cdf_noise(p):
+                continue  # the increment is not resolved to 1e-7
+            slope = (4.0 * step(2.0) - step(1.0)) / h
+            dens = np.exp(sltb_logpdf(p, np.full(dist._SERIES_MIN_ROWS, g0)))
+            assert np.all(dens == dens[0])
+            assert dens[0] == pytest.approx(slope, rel=1e-6), (p, g0)
+            checked += 1
+    assert checked >= 15  # 19 and 27 boundary points resolve
 
 
 # ---------------------------------------------------------------------------
