@@ -81,9 +81,10 @@ def _sha256(path: str) -> str:
 
 def write_outputs(out: str, outputs: dict) -> None:
     """Write each `.json` output as strict JSON and each other output, a
-    TabularDataset or (header, rows), as a CSV into `out`. The JSON texts are
-    made first: a NaN or inf raises NumericalError before `out` exists."""
-    texts = {}
+    TabularDataset or (header, rows), as a CSV into `out`. Every output is
+    checked first: a NaN or inf, in a JSON output or a float cell of a CSV,
+    raises NumericalError before `out` exists."""
+    texts, tables = {}, {}
     for name, obj in outputs.items():
         if name.endswith(".json"):
             try:
@@ -91,14 +92,36 @@ def write_outputs(out: str, outputs: dict) -> None:
                                          allow_nan=False)
             except ValueError as e:
                 raise NumericalError(f"{name} not written: {e}")
+        elif isinstance(obj, TabularDataset):  # its numeric columns are finite
+            tables[name] = (obj,)
+        else:
+            header, rows = obj
+            if not isinstance(rows, np.ndarray):
+                rows = list(rows)  # a zip can be read only once
+            _refuse_non_finite(name, header, rows)
+            tables[name] = (header, rows)
     os.makedirs(out, exist_ok=True)
-    for name, table in outputs.items():
-        if name not in texts:
-            args = (table,) if isinstance(table, TabularDataset) else table
-            write_csv(os.path.join(out, name), *args)
+    for name, args in tables.items():
+        write_csv(os.path.join(out, name), *args)
     for name, text in texts.items():
         with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+
+
+def _refuse_non_finite(name: str, header, rows) -> None:
+    """NumericalError naming the column and the 1-based row of the first
+    NaN or infinite float cell of the CSV output `name`."""
+    columns = rows.T if isinstance(rows, np.ndarray) else zip(*rows)
+    for column, cells in zip(header, columns):
+        try:  # None converts to NaN, so a flagged cell must be a float
+            flagged = np.flatnonzero(~np.isfinite(np.asarray(cells, dtype=float)))
+        except (TypeError, ValueError, OverflowError):  # a text cell
+            flagged = range(len(cells))
+        for i in flagged:
+            cell = cells[i]
+            if isinstance(cell, (float, np.floating)) and not np.isfinite(cell):
+                raise NumericalError(f"{name} not written: column {column} is "
+                                     f"{float(cell)} in row {i + 1}")
 
 
 # ---------------------------------------------------------------------------
@@ -411,21 +434,14 @@ def cmd_density(args):
     params = SltbParams(args.mu, args.phi, s, l)
     g = np.linspace(0.0, 1.0, args.grid_n)
     interior = (g > 0.0) & (g < 1.0)
-    with np.errstate(all="ignore"):  # non-finite values are refused below
+    with np.errstate(all="ignore"):  # `write_outputs` refuses non-finite values
         dens = sltb_pdf(params, g)
         beta_vals = np.exp(beta_logpdf_arrays(args.mu, args.phi, g[interior]))
-    for name, grid, vals in (("sltb_pdf", g, dens),
-                             ("beta_pdf", g[interior], beta_vals)):
-        bad = np.flatnonzero(~np.isfinite(vals))
-        if bad.size:
-            i = int(bad[0])
-            raise NumericalError(
-                f"{name} is {float(vals[i])} at grid point g={float(grid[i])!r}; "
-                "no density.csv written")
     beta_col = np.full(args.grid_n, None)  # beta is undefined at 0 and 1
     beta_col[interior] = beta_vals
+    # one object array: numpy checks its floats and None stays an empty cell
     outputs = {"density.csv": (["g", "sltb_pdf", "beta_pdf"],
-                               zip(g, dens, beta_col))}
+                               np.column_stack((g, dens, beta_col)))}
     config = {"mu": args.mu, "phi": args.phi, "s": s, "l": l,
               "grid_n": args.grid_n, "preset": args.preset}
     return ["density"], config, None, [], outputs

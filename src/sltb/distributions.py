@@ -8,11 +8,11 @@ indistinguishable from the beta on the interior yet stays finite and
 positive at g = 0 and g = 1, which is what lets likelihoods accept
 boundary observations.
 
-The truncation normalizer Z = 1 - I_l(a,b) - I_eps(b,a) sums each beta
-tail's DLMF 8.17.8 series on the ln B that the density core computes, with
-one term count from a scalar ratio bound; `betainc` still serves small
-calls, wide windows, and the rows where a large phi or 1 - tail cancelling
-would cost the series its accuracy (`sltb_log_normalizer_arrays`).
+The truncation normalizer Z = 1 - I_l(a,b) - I_eps(b,a) and its partials
+in the beta shapes sum each excluded tail's DLMF 8.17.8 series in one
+Horner pass (`_tail_series`); `betainc` still serves small calls, wide
+windows, and the rows where a large phi or 1 - tail cancelling would cost
+the series its accuracy. The cdf and quantile take Z from complements.
 
 The density, its normalizer and the cdf each have one vectorized
 ``*_arrays`` core. The public functions take an ``SltbParams`` and a
@@ -49,12 +49,8 @@ _SUPPORT_TOL = 4.0 * np.finfo(float).eps
 _SERIES_MIN_ROWS = 128
 _SERIES_MAX_RATIO = 1e-3
 
-# most series terms `_tail_log_partials` sums for one normalizer tail, how
-# many it sums in one array operation, and the powers of x it tries as the
-# ratio the terms fall to
+# most series terms `sltb_log_normalizer_partials` sums for one call
 _TERM_CAP = 4000
-_TERM_BLOCK = 64
-_RHO_POWERS = 0.5 ** np.arange(1, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -191,26 +187,14 @@ def sltb_log_normalizer_arrays(mu, phi, s, l, ln_b=None):
     """ln of the truncation normalizer Z = 1 - I_l(a,b) - I_eps(b,a), with
     shapes a = mu*phi, b = (1-mu)*phi and eps = 1 - (1/s + l).
 
-    Each tail is the DLMF 8.17.8 series I_x(p,q) = x^p (1-x)^q / (p B(p,q))
-    * S, S = sum_k t_k, t_0 = 1, t_k+1 = t_k (p+q+k) x / (p+1+k), all terms
-    positive. Each term is at most r = max(phi, 1) * max(l, eps) times the
-    one before, so n terms, the least n with r^n / (1-r) <= 1e-17, sum S to
-    a rounding. ln_b is -ln B(a,b); the density passes the one its core
-    computed, and a standalone call computes it. x^p (1-x)^q / B(p,q) is
-    taken as the square of its root, so that x^p cannot underflow before
-    the tail does.
-
-    `betainc` computes the tails where the series is not the better tool:
-    - calls of fewer than _SERIES_MIN_ROWS rows, where its fixed cost is
-      the larger, calls whose r is not below _SERIES_MAX_RATIO, and calls
-      with every phi above 60, where the rule below takes every row;
-    - rows with Z < (phi + 4)/64, and rows whose series is not finite (a
-      shape at 0, NaN or inf). The lnΓ difference in ln_b is good to a few
-      ulps of lnΓ(phi), and 1 - tail amplifies a tail's error by up to
-      1/Z, so the series' relative error in ln Z grows as (phi + 4)/Z: at
-      most 1.6e-15 (phi + 4)/Z in an mpmath scan of 13,000 rows with phi
-      from 1e-3 to 100. The rule keeps it below 1e-13, and leaves no row
-      with phi above 60 on the series.
+    `_tail_series` sums each tail. Each term is at most r = max(phi, 1) *
+    max(l, eps) times the one before, so n terms, the least n with
+    r^n / (1-r) <= 1e-17, sum S to a rounding. ln_b is -ln B(a,b); the
+    density passes the one its core computed. `betainc` computes the tails
+    of calls of fewer than _SERIES_MIN_ROWS rows, where its fixed cost is
+    the larger, of calls whose r is not below _SERIES_MAX_RATIO, and of
+    calls with every phi above 60, which the series' fallback rule would
+    all reject.
     The normalizer is strictly positive mathematically, but where the
     window holds no representable mass the tails round to 1 and the result
     is -inf. No domain checking.
@@ -219,119 +203,100 @@ def sltb_log_normalizer_arrays(mu, phi, s, l, ln_b=None):
     b = (1.0 - mu) * phi
     eps = (s - 1.0 - l * s) / s  # 1 - (1/s + l), computed stably
     with np.errstate(all="ignore"):  # rows that go on to `betainc` may overflow
-        if np.size(a) < _SERIES_MIN_ROWS:
-            return np.log1p(-_betainc_tails(a, b, l, eps))
-        phi_max = phi.max() if np.ndim(phi) else phi
+        phi_max = phi.max() if isinstance(phi, np.ndarray) else phi
         r = max(phi_max, 1.0) * max(l, eps)
-        if not r < _SERIES_MAX_RATIO or (phi_max + 4.0 > 64.0
-                                         and np.min(phi) + 4.0 > 64.0):
-            return np.log1p(-_betainc_tails(a, b, l, eps))
-        if ln_b is None:
-            ln_b = _log_inv_beta(a, b)
-        p = np.array((a, b))  # the lower tail's first shape, then the upper's
+        if (np.size(a) < _SERIES_MIN_ROWS or not r < _SERIES_MAX_RATIO
+                or (phi_max + 4.0 > 64.0 and np.min(phi) + 4.0 > 64.0)):
+            tail = _sp.betainc(b, a, eps) + _sp.betainc(a, b, l)
+            return np.log1p(-np.minimum(tail, 1.0))
         x = np.array([l, eps]).reshape((2,) + (1,) * a.ndim)
         n = 1 if r == 0.0 else max(
             math.ceil(math.log(1e-17 * (1.0 - r)) / math.log(r)), 1)
-        p1 = p + 1.0
-        series = 1.0
-        for k in range(n - 2, -1, -1):  # Horner: S = 1 + t_1 (1 + t_2/t_1 (...))
-            series = series * ((phi + k) * x) / (p1 + k) + 1.0
-        root = (np.power(x, 0.5 * p)
-                * np.exp(p[::-1] * (0.5 * np.log1p(-x)) + 0.5 * ln_b))
-        tail = root * root * series / p
-        tail = tail[0] + tail[1]
-        if not tail.max() <= 1.0 - (phi_max + 4.0) / 64.0:
-            redo = ~((1.0 - tail) * 64.0 >= phi + 4.0)
-            tail[redo] = _betainc_tails(a[redo], b[redo], l, eps)
-        return np.log1p(-tail)
+        return np.log1p(-_tail_series(np.array((a, b)), phi, x, ln_b, n))
 
 
-def _betainc_tails(a, b, l, eps):
-    """I_eps(b,a) + I_l(a,b) by `betainc`, capped at 1."""
-    return np.minimum(_sp.betainc(b, a, eps) + _sp.betainc(a, b, l), 1.0)
+def _tail_series(p, phi, x, ln_b, n, partials=False):
+    """The sum of the tails I_x(p,q), q = p[::-1] and p + q = phi, by n
+    terms of DLMF 8.17.8; for `partials`, each tail, the sum, S_p/S and
+    S_q/S.
 
+    I_x(p,q) = x^p (1-x)^q / (p B(p,q)) * S with S = sum_k t_k, t_0 = 1,
+    t_k+1 = t_k c_k, c_k = (p+q+k) x / (p+1+k), all terms positive. Horner
+    sums S = 1 + c_0 (1 + c_1 (...)); differentiating each step gives
+    S_p = dS/dp and S_q = dS/dq in the same loop, from d ln c_k/dp =
+    (1-q) / ((p+q+k)(p+1+k)) and d ln c_k/dq = 1/(p+q+k). ln_b is
+    -ln B(p,q), computed if None, and x^p (1-x)^q / B(p,q) is taken as the
+    square of its root, so that x^p cannot underflow before the tail does.
 
-def _tail_log_partials(p, q, x):
-    """(d ln I/dp, d ln I/dq) for the tails I = I_x(p, q), with x a column
-    that holds one positive point per leading row of p and q.
-
-    DLMF 8.17.8: I = x^p (1-x)^q / (p B(p,q)) * S with S = sum_k t_k,
-    t_0 = 1, t_k+1 = t_k (p+q+k) x / (p+1+k), all terms positive. So
-    d ln I/dp = ln x - psi(p+1) + psi(p+q) + S_p/S and
-    d ln I/dq = ln(1-x) - psi(q) + psi(p+q) + S_q/S, where S_p and S_q sum
-    the terms weighted by their own log-partials. For any rho in (x, 1)
-    the ratio is at most rho after K = (x(p+q) - rho(p+1)) / (rho - x)
-    terms, and `_series_terms(rho)` more make every remainder negligible;
-    each row takes the least such count over rho = x^(1/2), x^(1/4), ...,
-    x^(1/32), and one term count, the largest any row needs, serves the
-    whole call, summed _TERM_BLOCK terms at a time. A row that would need
-    more than _TERM_CAP terms (x not small, phi large, and the row's mean
-    just inside the tail) is NaN, never a truncated sum.
+    `betainc` recomputes both tails of the rows whose series sum is not
+    finite (a shape at 0, NaN or inf) or leaves Z below (phi + 4)/64, and
+    caps their sum at 1. The lnΓ difference in ln_b is good to a few ulps
+    of lnΓ(phi), and 1 - tail amplifies a tail's error by up to 1/Z, so the
+    series' relative error in ln Z grows as (phi + 4)/Z: at most 1.6e-15
+    (phi + 4)/Z in an mpmath scan of 13,000 rows with phi from 1e-3 to 100.
+    The rule keeps it below 1e-13, and leaves no row with phi above 60 on
+    the series.
     """
-    pq, p1 = p + q, p + 1.0
-    rho = x ** _RHO_POWERS.reshape((-1,) + (1,) * x.ndim)
-    ramp = np.maximum(x * pq - rho * p1, 0.0) / (rho - x)  # terms to reach rho
-    need = (ramp + _series_terms(rho, 1.0 / min(pq.min(), 1.0))).min(axis=0)
-    n_need = math.ceil(need.max())
-    n_terms = min(n_need, _TERM_CAP)
-    t, u_p, u_q = np.ones(pq.shape), np.zeros(pq.shape), np.zeros(pq.shape)
-    s, s_p, s_q = np.ones(pq.shape), np.zeros(pq.shape), np.zeros(pq.shape)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k0 in range(0, n_terms, _TERM_BLOCK):
-            # term k+1 is term k times (p+q+k) x / (p+1+k)
-            k = np.arange(k0, min(k0 + _TERM_BLOCK, n_terms)).reshape(
-                (-1,) + (1,) * pq.ndim)
-            pq_k, p1_k = pq + k, p1 + k
-            t = t * np.cumprod(pq_k * x / p1_k, axis=0)
-            u_p = u_p + np.cumsum((1.0 - q) / (pq_k * p1_k), axis=0)
-            u_q = u_q + np.cumsum(1.0 / pq_k, axis=0)
-            s += t.sum(axis=0)
-            s_p += (t * u_p).sum(axis=0)
-            s_q += (t * u_q).sum(axis=0)
-            t, u_p, u_q = t[-1], u_p[-1], u_q[-1]
-        psi_pq = _sp.digamma(pq)
-        d_p = np.log(x) - _sp.digamma(p1) + psi_pq + s_p / s
-        d_q = np.log1p(-x) - _sp.digamma(q) + psi_pq + s_q / s
-    if n_need > n_terms:
-        bad = need > n_terms
-        d_p, d_q = np.where(bad, np.nan, d_p), np.where(bad, np.nan, d_q)
-    return d_p, d_q
-
-
-def _series_terms(rho, c: float):
-    """Terms past ratio rho that bound the remainder of S, S_p and S_q
-    below 1e-17 of S, when each term's log-partial is at most c per term:
-    the least n with rho^n (1 + c (_TERM_CAP + 1/(1-rho))) / (1-rho) <= 1e-17."""
-    bound = (1.0 + c * (_TERM_CAP + 1.0 / (1.0 - rho))) / (1.0 - rho)
-    return np.maximum(np.ceil(np.log(1e-17 / bound) / np.log(rho)), 0.0)
+    q, p1 = p[::-1], p + 1.0
+    ln_b = _log_inv_beta(*p) if ln_b is None else ln_b
+    series, s_p, s_q = 1.0, 0.0, 0.0
+    for k in range(n - 2, -1, -1):
+        num, den = (phi + k) * x, p1 + k
+        if partials:  # dS_k = c_k (S_k+1 d ln c_k + dS_k+1)
+            ratio = num / den
+            s_p = ratio * (s_p + (1.0 - q) / ((phi + k) * den) * series)
+            s_q = ratio * (s_q + series / (phi + k))
+        series = series * num / den + 1.0
+    root = np.power(x, 0.5 * p) * np.exp(q * (0.5 * np.log1p(-x)) + 0.5 * ln_b)
+    tail = root * root * series / p
+    total = tail[0] + tail[1]
+    phi_max = phi.max() if isinstance(phi, np.ndarray) else phi
+    if not total.max() <= 1.0 - (phi_max + 4.0) / 64.0:
+        redo = ~((1.0 - total) * 64.0 >= phi + 4.0)
+        a, b = p[0][redo], p[1][redo]
+        lower, upper = _sp.betainc(a, b, x.flat[0]), _sp.betainc(b, a, x.flat[1])
+        total[redo] = np.minimum(lower + upper, 1.0)
+        if partials:
+            tail[0][redo], tail[1][redo] = lower, upper
+    return (tail, total, s_p / series, s_q / series) if partials else total
 
 
 def sltb_log_normalizer_partials(mu, phi, s, l):
     """Partials of ln Z, Z = 1 - I_l(a,b) - I_eps(b,a), in the shapes
-    a = mu*phi and b = (1-mu)*phi, with eps = 1 - (1/s + l).
+    a = mu*phi and b = (1-mu)*phi, with eps = 1 - (1/s + l), as arrays.
 
-    Each tail's partials are its `betainc` value, the one the density's
-    normalizer takes, times its log-partials from `_tail_log_partials`,
-    and Z is formed from the same two values. So the result is finite
-    wherever the log-density is, except on rows whose series needs more
-    than its term cap, where it is NaN. A tail that underflows to 0
-    contributes 0. No domain checking; callers guarantee 0 < mu < 1 and
-    finite phi > 0.
+    A tail I = I_x(p,q) has d ln I/dp = ln x - psi(p+1) + psi(p+q) + S_p/S
+    and d ln I/dq = ln(1-x) - psi(q) + psi(p+q) + S_q/S, with the tail and
+    S_p/S, S_q/S from `_tail_series`. The term ratios run monotonically
+    from phi x/(p+1) toward x, so they are at most rho, their larger, from
+    the first term on; where that is above h = (1+x)/2, rho = h bounds them
+    from term (phi x - h(p+1))/(h - x) on. A term's log-partials grow by at
+    most 1/min(phi, 1) a term, so m more terms, the least m with
+    rho^m (1 + (_TERM_CAP + 1/(1-rho)) / min(phi, 1)) / (1-rho) <= 1e-17,
+    leave S, S_p and S_q within 1e-17 of S. The call sums the most terms
+    any row needs; a row that needs more than _TERM_CAP (x not small, phi
+    large, and the mean just inside the tail) is NaN, never a truncated
+    sum. A tail at 0 contributes 0. No domain checking; callers guarantee
+    0 < mu < 1 and finite phi > 0.
     """
-    a = mu * phi
-    b = (1.0 - mu) * phi
-    # the lower tail I_l(a, b) and the upper I_eps(b, a); a tail at x = 0 is 0
-    p, q = np.stack((a, b)), np.stack((b, a))
-    x = np.array([l, (s - 1.0 - l * s) / s]).reshape((2,) + (1,) * np.ndim(a))
-    tail = _sp.betainc(p, q, x)
-    live = slice(0 if l > 0.0 else 1, 2 if x.flat[1] > 0.0 else 1)
-    d_p, d_q = np.zeros((2,) + p.shape)
-    if live.start < live.stop:
-        d_p[live], d_q[live] = _tail_log_partials(p[live], q[live], x[live])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    a = np.atleast_1d(mu * phi)
+    p = np.array((a, np.atleast_1d((1.0 - mu) * phi)))  # (a, b)
+    q, p1 = p[::-1], p + 1.0
+    x = np.array([l, (s - 1.0 - l * s) / s]).reshape((2,) + (1,) * a.ndim)
+    with np.errstate(all="ignore"):  # a tail at x = 0 is 0
+        h = 0.5 + 0.5 * x
+        rho = np.minimum(np.maximum(phi * x / p1, x), h)
+        bound = 1.0 + (_TERM_CAP + 1.0 / (1.0 - rho)) / min(np.min(phi), 1.0)
+        need = (np.maximum(phi * x - rho * p1, 0.0) / (h - x) + np.maximum(
+            np.ceil(np.log(1e-17 * (1.0 - rho) / bound) / np.log(rho)), 0.0))
+        n = min(math.ceil(need.max()), _TERM_CAP)
+        tail, total, d_p, d_q = _tail_series(p, phi, x, None, n, partials=True)
+        psi_phi, cut = _sp.digamma(phi), need > n
+        d_p = np.where(cut, np.nan, np.log(x) - _sp.digamma(p1) + psi_phi + d_p)
+        d_q = np.where(cut, np.nan, np.log1p(-x) - _sp.digamma(q) + psi_phi + d_q)
         d_p = np.where(tail > 0.0, tail * d_p, 0.0)
         d_q = np.where(tail > 0.0, tail * d_q, 0.0)
-        inv_z = -1.0 / (1.0 - (tail[0] + tail[1]))
+        inv_z = -1.0 / (1.0 - total)
         return (d_p[0] + d_q[1]) * inv_z, (d_q[0] + d_p[1]) * inv_z
 
 
@@ -357,27 +322,37 @@ def sltb_logpdf_arrays(mu, phi, s, l, g, logs=None):
 
 
 def _cdf_arrays(p: SltbParams, g, norm: float):
-    """(F_beta(g/s + l) - F_beta(l)) / norm; F_beta(x) is taken from the
-    lower tail for x <= 1/2 and from the upper tail above, for accuracy at
+    """(F_beta(g/s + l) - F_beta(l)) / norm, with the numerator a difference
+    of lower-tail values where F_beta(l) < 1/2 and of upper-tail values
+    (1 - F_beta) above, so that a small Z does not cancel it away. Each
+    value is taken at x for x <= 1/2 and at 1 - x above, for accuracy at
     either end. The top of the support maps to exactly 1."""
     a, b = p.alpha(), p.beta_shape()
     x, one_minus, _, _ = log_x_pair(g, p.s, p.l)
-    lower = x <= 0.5
-    tail = _sp.betainc(np.where(lower, a, b), np.where(lower, b, a),
-                       np.where(lower, x, np.maximum(one_minus, 0.0)))
-    num = np.where(lower, tail, 1.0 - tail) - _sp.betainc(a, b, p.l)
+    f_l = _sp.betainc(a, b, p.l)
+    lower, upper = x <= 0.5, f_l >= 0.5
+    args = (np.where(lower, a, b), np.where(lower, b, a),
+            np.where(lower, x, np.maximum(one_minus, 0.0)))
+    tail = np.where(lower != upper, _sp.betainc(*args), _sp.betaincc(*args))
+    num = _sp.betaincc(a, b, p.l) - tail if upper else tail - f_l
     return np.where(g >= 1.0, 1.0, np.clip(num / norm, 0.0, 1.0))
 
 
 def _normalizer(p: SltbParams) -> float:
-    """Truncation normalizer Z of `p`; a NumericalError where it underflows,
-    since no cdf or quantile is defined on a window without mass."""
+    """Truncation normalizer Z of `p`, the complement of the larger beta
+    tail less the smaller, so that a small Z keeps its digits; a
+    NumericalError where the log-normalizer underflows, since no cdf or
+    quantile is defined on a window without mass."""
     log_norm = float(sltb_log_normalizer_arrays(p.mu, p.phi, p.s, p.l))
     if not np.isfinite(log_norm):
         raise NumericalError(
             f"the truncation window [l, 1/s + l] holds no representable "
             f"beta mass at mu={p.mu}, phi={p.phi} (ln normalizer {log_norm})")
-    return math.exp(log_norm)
+    a, b, eps = p.alpha(), p.beta_shape(), (p.s - 1.0 - p.l * p.s) / p.s
+    lower, upper = _sp.betainc(a, b, p.l), _sp.betainc(b, a, eps)
+    if lower >= upper:
+        return float(_sp.betaincc(a, b, p.l) - upper)
+    return float(_sp.betaincc(b, a, eps) - lower)
 
 
 def _unit_interval(v, name: str) -> np.ndarray:

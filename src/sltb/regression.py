@@ -263,12 +263,14 @@ def score(theta: np.ndarray, X: np.ndarray, y: np.ndarray, family: str = "sltb",
     Per row, d/da = psi(a+b) - psi(a) + ln x - d ln Z/da and
     d/db = psi(a+b) - psi(b) + ln(1-x) - d ln Z/db, where x is the beta
     argument (y for the beta family, whose Z is 1) and the partials of
-    ln Z come from `sltb_log_normalizer_partials`. Through a = mu*phi,
-    b = (1-mu)*phi, mu = expit(X beta) and phi = exp(eta) they give
+    ln Z come from `sltb_log_normalizer_partials`, which sums the same
+    DLMF 8.17.8 tail series as the density's normalizer and differentiates
+    it in the same pass. Through a = mu*phi, b = (1-mu)*phi,
+    mu = expit(X beta) and phi = exp(eta) they give
     X^T [phi mu (1-mu) (d/da - d/db)] and sum(a d/da + b d/db). No domain
     checking: the caller evaluates `loglik_*` at theta first, which checks
     the response, and asks for the score only where that is finite. Rows
-    whose normalizer series is over its term cap make the score NaN.
+    whose tail series needs more terms than its cap make the score NaN.
     `logs` is as in `loglik_sltb`.
     """
     beta, eta = _theta_parts(theta, X)

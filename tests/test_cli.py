@@ -631,8 +631,12 @@ def _sampler_fails(*args, **kwargs):
      "the normal sampler failed"),
     (["density", "--mu", "0.5", "--phi", "4"], None,
      (sltb.cli, "sltb_pdf", lambda p, g: np.full(np.shape(g), _NAN)),
-     "sltb_pdf is nan at grid point g=0.0"),
-], ids=["fit", "simulate", "hier-linear", "hier-nonlinear", "density"])
+     "density.csv not written: column sltb_pdf is nan in row 1"),
+    (_FIT, None,
+     (sltb.cli, "residuals", lambda fit, spec, data: np.full(data.n_rows, _NAN)),
+     "residuals.csv not written: column fitted is nan in row 1"),
+], ids=["fit", "simulate", "hier-linear", "hier-nonlinear", "density",
+        "fit-residuals-csv"])
 def test_failure_after_compute_writes_nothing(argv, config, patch, message,
                                               alcohol_csv, fit_files, tmp_path,
                                               monkeypatch, capsys):

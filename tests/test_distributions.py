@@ -281,6 +281,32 @@ def two_tail_log_normalizer(mu, phi, s, l):
         return np.log1p(-np.minimum(tail, 1.0))
 
 
+def horner_log_normalizer(mu, phi, s, l):
+    """The series log-normalizer in the order of operations of its first
+    Horner loop, with the fallback rows on the two-betainc form, kept so
+    that the package's shared tail routine can be held to its bits. For
+    calls that take the series: at least _SERIES_MIN_ROWS rows and
+    max(phi, 1) * max(l, eps) below _SERIES_MAX_RATIO."""
+    a, b = mu * phi, (1.0 - mu) * phi
+    eps = (s - 1.0 - l * s) / s
+    r = max(np.max(phi), 1.0) * max(l, eps)
+    n = max(math.ceil(math.log(1e-17 * (1.0 - r)) / math.log(r)), 1)
+    ln_b = sp.gammaln(a + b) - sp.gammaln(a) - sp.gammaln(b)
+    p = np.array((a, b))
+    x = np.array([l, eps]).reshape((2,) + (1,) * a.ndim)
+    series = 1.0
+    for k in range(n - 2, -1, -1):
+        series = series * ((phi + k) * x) / (p + 1.0 + k) + 1.0
+    root = (np.power(x, 0.5 * p)
+            * np.exp(p[::-1] * (0.5 * np.log1p(-x)) + 0.5 * ln_b))
+    tail = root * root * series / p
+    tail = tail[0] + tail[1]
+    redo = ~((1.0 - tail) * 64.0 >= phi + 4.0)
+    tail[redo] = np.minimum(sp.betainc(b, a, eps) + sp.betainc(a, b, l),
+                            1.0)[redo]
+    return np.log1p(-tail)
+
+
 def written_out_density_core(mu, phi, s, l, g):
     """ln f_beta(g/s + l) - ln s, written out in the density core's order
     of operations, so that the core can be held to it bit for bit."""
@@ -393,6 +419,26 @@ def test_tail_skip_is_bit_identical_to_two_tails(window, phi_log10, series,
     phi = 10.0 ** rng.uniform(*phi_log10, 20000)
     evaluated = _check_against_two_tails(monkeypatch, mu, phi, s, l, g)
     assert (evaluated < 2 * mu.size) == series
+
+
+@pytest.mark.parametrize("mu_shape, phi_shape", [((1340,), ()),
+                                                ((100, 6), (100, 1))],
+                         ids=["hier-linear", "broadcast"])
+def test_series_normalizer_keeps_the_bits_of_its_horner_loop(mu_shape,
+                                                            phi_shape):
+    # 1,340 rows under one phi, as a hier-linear coefficient proposal, and
+    # 100 subjects by 6 delays with a phi per subject, as the nonlinear
+    # sampler; the last subjects' tiny phi puts their rows on `betainc`
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        mu = rng.uniform(0.02, 0.98, mu_shape)
+        phi = rng.uniform(1.0, 50.0, phi_shape)
+        if phi.ndim:
+            mu[-3:], phi[-3:] = 1e-6, 1e-3
+        with np.errstate(all="ignore"):
+            want = horner_log_normalizer(mu, phi, DEFAULT_S, DEFAULT_L)
+        _assert_same_bits(
+            dist.sltb_log_normalizer_arrays(mu, phi, DEFAULT_S, DEFAULT_L), want)
 
 
 def _series_rows(n, rng):
@@ -684,6 +730,29 @@ def test_sltb_cdf_quantile_round_trip_corners(s, l):
             p = SltbParams(mu, phi, s, l)
             assert sltb_cdf(p, sltb_quantile(p, q)) == pytest.approx(
                 q, abs=1e-9), (mu, phi)
+
+
+def mp_cdf(p: SltbParams, g: float) -> mpmath.mpf:
+    mu, phi, s, l, g = map(mpmath.mpf, (p.mu, p.phi, p.s, p.l, g))
+    a, b = mu * phi, (1 - mu) * phi
+    lower = lambda x: mpmath.betainc(a, b, 0, x, regularized=True)
+    return (lower(g / s + l) - lower(l)) / mp_normalizer(p.mu, p.phi, p.s, p.l)
+
+
+@pytest.mark.parametrize("p, gs", [
+    (SltbParams(0.999, 1e3, 1.08, 0.04), (0.5, 0.9, 0.99)),
+    (SltbParams(1e-6, 1e-3), (1e-9, 0.3, 0.5, 1.0 - 1e-9)),
+    (SltbParams(1.0 - 1e-6, 1e-3), (1e-9, 0.3, 0.5, 1.0 - 1e-9)),
+], ids=["wide-phi-1e3", "default-mu-1e-6", "default-mu-1-1e-6"])
+def test_cdf_matches_mpmath_where_the_normalizer_is_small(p, gs):
+    # Z is 9.6e-16 in the wide window, where 1 minus the excluded tails
+    # keeps no digit of it, and about 4e-8 at the default window, where it
+    # keeps eight; the cdf there was all error or 1e-9 relative
+    for g in gs:
+        want = float(mp_cdf(p, g))
+        assert sltb_cdf(p, g) == pytest.approx(want, rel=1e-12), g
+        assert sltb_cdf(p, sltb_quantile(p, want)) == pytest.approx(
+            want, rel=1e-12), g
 
 
 def test_cdf_and_quantile_refuse_a_window_without_mass():

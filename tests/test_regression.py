@@ -312,15 +312,34 @@ def test_score_is_nan_past_the_series_term_cap():
     assert np.isfinite(sltb_log_normalizer_partials(mu, 1e3, s, l)).all()
 
 
-@pytest.mark.parametrize("s, l", [(1.0, 0.0), (1.1, 0.0), (1.08, 0.04)])
-def test_normalizer_partials_match_differences_of_the_normalizer(s, l):
-    # s = 1, l = 0 truncates nothing; l = 0 alone leaves only the upper tail
-    mu, phi = np.array([0.2, 0.7]), 5.0
+_SERIES_MUS = np.concatenate([np.geomspace(1e-5, 0.5, 64),
+                              1.0 - np.geomspace(1e-5, 0.5, 64)])
+
+
+def _richardson_difference(f, x, h):
+    """df/dx from central differences at steps h and h/2, extrapolated."""
+    central = lambda step: (f(x + step) - f(x - step)) / (2 * step)
+    return (4 * central(h / 2) - central(h)) / 3
+
+
+@pytest.mark.parametrize("s, l, mu, phi", [
+    (1.0, 0.0, np.array([0.2, 0.7]), 5.0),
+    (1.1, 0.0, np.array([0.2, 0.7]), 5.0),
+    (1.08, 0.04, np.array([0.2, 0.7]), 5.0),
+    *[(DEFAULT_S, DEFAULT_L, _SERIES_MUS, phi) for phi in (1e-3, 0.1, 5.0, 60.0)],
+], ids=["1.0-0.0", "1.1-0.0", "1.08-0.04", "series-phi-1e-3", "series-phi-0.1",
+        "series-phi-5", "series-phi-60"])
+def test_normalizer_partials_match_differences_of_the_normalizer(s, l, mu, phi):
+    # s = 1, l = 0 truncates nothing; l = 0 alone leaves only the upper tail.
+    # 128 rows with mu from 1e-5 to 1 - 1e-5 put the normalizer on its
+    # series path. Steps are relative to mu, 1 - mu and phi; at phi 1e-3
+    # and mu 1e-5, Z is 4e-7, and its rounding alone moves the differences
+    # by up to 4e-7 relative
     d_a, d_b = sltb_log_normalizer_partials(mu, phi, s, l)
     log_z = lambda m, f: sltb_log_normalizer_arrays(m, f, s, l)
-    h = 1e-4
-    d_mu = (log_z(mu + h, phi) - log_z(mu - h, phi)) / (2 * h)
-    d_phi = (log_z(mu, phi + h) - log_z(mu, phi - h)) / (2 * h)
+    d_mu = _richardson_difference(lambda m: log_z(m, phi), mu,
+                                  1e-3 * np.minimum(mu, 1.0 - mu))
+    d_phi = _richardson_difference(lambda f: log_z(mu, f), phi, 1e-3 * phi)
     # a = mu phi, b = (1 - mu) phi
     assert phi * (d_a - d_b) == pytest.approx(d_mu, rel=1e-6, abs=1e-12)
     assert mu * d_a + (1 - mu) * d_b == pytest.approx(d_phi, rel=1e-6, abs=1e-12)
