@@ -215,18 +215,20 @@ def sltb_log_normalizer_arrays(mu, phi, s, l, ln_b=None):
         return np.log1p(-_tail_series(np.array((a, b)), phi, x, ln_b, n))
 
 
-def _tail_series(p, phi, x, ln_b, n, partials=False):
+def _tail_series(p, phi, x, ln_b, n, order=0):
     """The sum of the tails I_x(p,q), q = p[::-1] and p + q = phi, by n
-    terms of DLMF 8.17.8; for `partials`, each tail, the sum, S_p/S and
-    S_q/S.
+    terms of DLMF 8.17.8; for `order` 1, (each tail, the sum, (S_p/S,
+    S_q/S)), and for `order` 2 also S_pp/S, S_pq/S and S_qq/S in that tuple.
 
     I_x(p,q) = x^p (1-x)^q / (p B(p,q)) * S with S = sum_k t_k, t_0 = 1,
     t_k+1 = t_k c_k, c_k = (p+q+k) x / (p+1+k), all terms positive. Horner
-    sums S = 1 + c_0 (1 + c_1 (...)); differentiating each step gives
-    S_p = dS/dp and S_q = dS/dq in the same loop, from d ln c_k/dp =
-    (1-q) / ((p+q+k)(p+1+k)) and d ln c_k/dq = 1/(p+q+k). ln_b is
-    -ln B(p,q), computed if None, and x^p (1-x)^q / B(p,q) is taken as the
-    square of its root, so that x^p cannot underflow before the tail does.
+    sums S = 1 + c_0 (1 + c_1 (...)); differentiating each step S_k =
+    1 + c_k S_k+1 once and twice gives the partials in the same loop, from
+    d ln c_k/dp = (1-q) / ((p+q+k)(p+1+k)), d ln c_k/dq = 1/(p+q+k) and
+    their own partials, -(d ln c_k/dp)(1/(p+q+k) + 1/(p+1+k)) in p and
+    -1/(p+q+k)^2 in q. ln_b is -ln B(p,q), computed if None, and
+    x^p (1-x)^q / B(p,q) is taken as the square of its root, so that x^p
+    cannot underflow before the tail does.
 
     `betainc` recomputes both tails of the rows whose series sum is not
     finite (a shape at 0, NaN or inf) or leaves Z below (phi + 4)/64, and
@@ -239,12 +241,19 @@ def _tail_series(p, phi, x, ln_b, n, partials=False):
     """
     q, p1 = p[::-1], p + 1.0
     ln_b = _log_inv_beta(*p) if ln_b is None else ln_b
-    series, s_p, s_q = 1.0, 0.0, 0.0
+    series, s_p, s_q, s_pp, s_pq, s_qq = 1.0, 0.0, 0.0, 0.0, 0.0, 0.0
+    one_q = 1.0 - q if order else None
     for k in range(n - 2, -1, -1):
         num, den = (phi + k) * x, p1 + k
-        if partials:  # dS_k = c_k (S_k+1 d ln c_k + dS_k+1)
+        if order:  # dS_k = c_k (S_k+1 d ln c_k + dS_k+1), and once more
             ratio = num / den
-            s_p = ratio * (s_p + (1.0 - q) / ((phi + k) * den) * series)
+            d_p = one_q / ((phi + k) * den)
+            if order == 2:
+                d_q, lag = 1.0 / (phi + k), s_p - series / den
+                s_pp = ratio * (2.0 * d_p * lag + s_pp)
+                s_pq = ratio * (d_p * s_q + d_q * lag + s_pq)
+                s_qq = ratio * (2.0 * d_q * s_q + s_qq)
+            s_p = ratio * (s_p + d_p * series)
             s_q = ratio * (s_q + series / (phi + k))
         series = series * num / den + 1.0
     root = np.power(x, 0.5 * p) * np.exp(q * (0.5 * np.log1p(-x)) + 0.5 * ln_b)
@@ -256,32 +265,45 @@ def _tail_series(p, phi, x, ln_b, n, partials=False):
         a, b = p[0][redo], p[1][redo]
         lower, upper = _sp.betainc(a, b, x.flat[0]), _sp.betainc(b, a, x.flat[1])
         total[redo] = np.minimum(lower + upper, 1.0)
-        if partials:
+        if order:
             tail[0][redo], tail[1][redo] = lower, upper
-    return (tail, total, s_p / series, s_q / series) if partials else total
+    if not order:
+        return total
+    ratios = (s_p, s_q, s_pp, s_pq, s_qq)[:2 if order == 1 else 5]
+    return tail, total, tuple(d / series for d in ratios)
 
 
-def sltb_log_normalizer_partials(mu, phi, s, l):
+def sltb_log_normalizer_partials(mu, phi, s, l, order=1, polygammas=None):
     """Partials of ln Z, Z = 1 - I_l(a,b) - I_eps(b,a), in the shapes
-    a = mu*phi and b = (1-mu)*phi, with eps = 1 - (1/s + l), as arrays.
+    a = mu*phi and b = (1-mu)*phi, with eps = 1 - (1/s + l), as arrays:
+    (d/da, d/db), and for `order` 2 also (d2/da2, d2/da db, d2/db2).
 
-    A tail I = I_x(p,q) has d ln I/dp = ln x - psi(p+1) + psi(p+q) + S_p/S
-    and d ln I/dq = ln(1-x) - psi(q) + psi(p+q) + S_q/S, with the tail and
-    S_p/S, S_q/S from `_tail_series`. The term ratios run monotonically
-    from phi x/(p+1) toward x, so they are at most rho, their larger, from
-    the first term on; where that is above h = (1+x)/2, rho = h bounds them
-    from term (phi x - h(p+1))/(h - x) on. A term's log-partials grow by at
-    most 1/min(phi, 1) a term, so m more terms, the least m with
-    rho^m (1 + (_TERM_CAP + 1/(1-rho)) / min(phi, 1)) / (1-rho) <= 1e-17,
-    leave S, S_p and S_q within 1e-17 of S. The call sums the most terms
-    any row needs; a row that needs more than _TERM_CAP (x not small, phi
-    large, and the mean just inside the tail) is NaN, never a truncated
-    sum. A tail at 0 contributes 0. No domain checking; callers guarantee
-    0 < mu < 1 and finite phi > 0.
+    A tail I = I_x(p,q) = x^p (1-x)^q S Γ(p+q) / (Γ(p+1) Γ(q)) has
+    d ln I/dp = ln x - psi(p+1) + psi(p+q) + S_p/S and d ln I/dq =
+    ln(1-x) - psi(q) + psi(p+q) + S_q/S; its second log-partials are
+    psi'(p+q) - psi'(p+1) + S_pp/S - (S_p/S)^2, psi'(p+q) + S_pq/S -
+    S_p S_q/S^2 and psi'(p+q) - psi'(q) + S_qq/S - (S_q/S)^2, with the tail
+    and the ratios from `_tail_series`. `polygammas` is (psi, psi') of the
+    stacked shapes (a, b) (psi' only for order 2), as the caller computed
+    them, or None; psi(p+1) is psi(p) + 1/p and psi'(p+1) is psi'(p) - 1/p^2,
+    whose rounding, eps/p and eps/p^2, reaches the log-likelihood's
+    derivatives in theta times p and p^2, below their own floor of eps/Z.
+
+    The term ratios run monotonically from c_0 = phi x/(p+1) toward x, so
+    they are at most rho, their larger, from the first term on; where that
+    is above h = (1+x)/2, rho = h bounds them from term (phi x - h(p+1))/
+    (h - x) on. A term's log-partials grow by at most 1/min(phi, 1) a term,
+    so m more terms, the least m with rho^m (1 + (_TERM_CAP + 1/(1-rho)) /
+    min(phi, 1)) / (1-rho) <= 1e-17, leave S, S_p and S_q within 1e-17 of
+    S, and the second partials within _TERM_CAP/min(phi, 1) times that.
+    The call sums the most terms any row needs; a row that needs more than
+    _TERM_CAP (x not small, phi large, and the mean just inside the tail)
+    is NaN, never a truncated sum. A tail at 0 contributes 0. No domain
+    checking; callers guarantee 0 < mu < 1 and finite phi > 0.
     """
     a = np.atleast_1d(mu * phi)
     p = np.array((a, np.atleast_1d((1.0 - mu) * phi)))  # (a, b)
-    q, p1 = p[::-1], p + 1.0
+    p1 = p + 1.0
     x = np.array([l, (s - 1.0 - l * s) / s]).reshape((2,) + (1,) * a.ndim)
     with np.errstate(all="ignore"):  # a tail at x = 0 is 0
         h = 0.5 + 0.5 * x
@@ -290,14 +312,32 @@ def sltb_log_normalizer_partials(mu, phi, s, l):
         need = (np.maximum(phi * x - rho * p1, 0.0) / (h - x) + np.maximum(
             np.ceil(np.log(1e-17 * (1.0 - rho) / bound) / np.log(rho)), 0.0))
         n = min(math.ceil(need.max()), _TERM_CAP)
-        tail, total, d_p, d_q = _tail_series(p, phi, x, None, n, partials=True)
-        psi_phi, cut = _sp.digamma(phi), need > n
-        d_p = np.where(cut, np.nan, np.log(x) - _sp.digamma(p1) + psi_phi + d_p)
-        d_q = np.where(cut, np.nan, np.log1p(-x) - _sp.digamma(q) + psi_phi + d_q)
-        d_p = np.where(tail > 0.0, tail * d_p, 0.0)
-        d_q = np.where(tail > 0.0, tail * d_q, 0.0)
+        tail, total, d = _tail_series(p, phi, x, None, n, order)
+        if polygammas is None:
+            polygammas = (_sp.digamma(p), _sp.zeta(2.0, p) if order == 2 else None)
+        psi, tri = polygammas
+        psi_phi, inv_p = _sp.digamma(phi), 1.0 / p
+        g_p = np.log(x) - (psi + inv_p) + psi_phi + d[0]
+        g_q = np.log1p(-x) - psi[::-1] + psi_phi + d[1]
+        if n < need.max():  # the rows past the cap
+            cut = need > n
+            g_p, g_q = np.where(cut, np.nan, g_p), np.where(cut, np.nan, g_q)
+        live = tail > 0.0
+        t_p, t_q = np.where(live, tail * g_p, 0.0), np.where(live, tail * g_q, 0.0)
         inv_z = -1.0 / (1.0 - total)
-        return (d_p[0] + d_q[1]) * inv_z, (d_q[0] + d_p[1]) * inv_z
+        first = ((t_p[0] + t_q[1]) * inv_z, (t_q[0] + t_p[1]) * inv_z)
+        if order == 1:
+            return first
+        tri_phi = _sp.zeta(2.0, phi)  # psi'(x) = zeta(2, x)
+        t_pp = np.where(live, tail * (tri_phi - (tri - inv_p * inv_p) + d[2]
+                                      - d[0] * d[0] + g_p * g_p), 0.0)
+        t_pq = np.where(live, tail * (tri_phi + d[3] - d[0] * d[1] + g_p * g_q), 0.0)
+        t_qq = np.where(live, tail * (tri_phi - tri[::-1] + d[4]
+                                      - d[1] * d[1] + g_q * g_q), 0.0)
+        l_a, l_b = first
+        return (*first, (t_pp[0] + t_qq[1]) * inv_z - l_a * l_a,
+                (t_pq[0] + t_pq[1]) * inv_z - l_a * l_b,
+                (t_qq[0] + t_pp[1]) * inv_z - l_b * l_b)
 
 
 def sltb_logpdf_arrays(mu, phi, s, l, g, logs=None):
@@ -404,12 +444,18 @@ def sltb_cdf(p: SltbParams, g):
 def sltb_quantile(p: SltbParams, q):
     """Right inverse of sltb_cdf, in closed form: z = (x - l)*s for the
     beta quantile x of F_beta(l) + q*Z, clipped to [0,1] and polished by
-    one Newton step on the cdf. q = 0 and q = 1 map to 0 and 1."""
+    one Newton step on the cdf. Where F_beta(l) >= 1/2, x is the upper
+    quantile of 1 - F_beta(l) - q*Z, so that a small Z does not cancel, as
+    in the cdf. q = 0 and q = 1 map to 0 and 1."""
     arr = _unit_interval(q, "q")
     a, b = p.alpha(), p.beta_shape()
     norm = _normalizer(p)
-    target = np.minimum(_sp.betainc(a, b, p.l) + arr * norm, 1.0)
-    g = np.clip((_sp.betaincinv(a, b, target) - p.l) * p.s, 0.0, 1.0)
+    f_l = _sp.betainc(a, b, p.l)
+    if f_l < 0.5:
+        x = _sp.betaincinv(a, b, np.minimum(f_l + arr * norm, 1.0))
+    else:
+        x = _sp.betainccinv(a, b, np.maximum(_sp.betaincc(a, b, p.l) - arr * norm, 0.0))
+    g = np.clip((x - p.l) * p.s, 0.0, 1.0)
     with np.errstate(all="ignore"):  # an infinite or zero density skips the step
         step = (_cdf_arrays(p, g, norm) - arr) / np.exp(
             sltb_logpdf_arrays(p.mu, p.phi, p.s, p.l, g))

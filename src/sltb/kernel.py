@@ -1,10 +1,12 @@
 """Numeric kernel: the seedable RNG and the central-difference Hessian.
 
 ``Rng`` is the package's one source of randomness; every generator and
-sampler takes one. ``numeric_hessian`` gives ``fit_mle`` the observed
-information behind its Wald standard errors, and nothing else: it is the
-symmetrized central-difference Jacobian of the analytic
-``regression.score``, on which the optimizer also steps.
+sampler takes one. ``numeric_hessian`` is the symmetrized
+central-difference Jacobian of a gradient. No package code calls it:
+``fit_mle`` steps on, and inverts, the closed-form information of
+``regression.score_information``. It stays as an exported name, a test
+oracle for that information, and a boundary that ``bench/tracing.py``
+wraps.
 """
 
 from __future__ import annotations

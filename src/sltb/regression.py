@@ -4,6 +4,9 @@ The mean is linked through logit and the precision is a single constant
 on the log scale, so the parameter vector is theta = (beta_0..beta_k, eta)
 with phi = exp(eta). Two families share the machinery: the plain beta
 likelihood (interior data only) and the boundary-tolerant SLTB likelihood.
+`score_information` gives the score and the observed information of both
+in closed form, and `fit_mle` takes Newton steps on them and inverts the
+information for Wald inference.
 """
 
 from __future__ import annotations
@@ -15,11 +18,9 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import linalg as _la
-from scipy import optimize as _opt
 from scipy import special as _sp
 from scipy.special import expit, logit, ndtr
 
-from . import kernel
 from .data import TabularDataset
 from .distributions import (
     DEFAULT_L,
@@ -40,6 +41,7 @@ from .errors import (
 )
 
 ETA_LIMIT = 50.0  # |eta| = |ln phi| beyond this is treated as a failed region
+_MAX_NEWTON_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -71,16 +73,18 @@ class FitResult:
 
     `coefficients` holds beta in design order; `log_precision` is eta.
     se/z/p cover the full theta vector (coefficients then eta), matching the
-    rows of `vcov`, the inverse of the observed information, which is the
-    symmetrized central-difference Jacobian of -`score` at the optimum.
-    `fit_seconds` times the one optimizer call only, not the warm start or
-    the information. `loglik_trace` holds the log-likelihood at the start,
-    then the optimizer's own value at each of its iterates; `iterations`
-    counts those iterations, so it is ``len(loglik_trace) - 1``.
-    `evaluations` counts the optimizer's calls of the objective, each one
-    log-likelihood and one `score`, and `score_max` is the largest |score|
-    at the optimum scaled by max(1, |loglik|), the figure the convergence
-    test reads.
+    rows of `vcov`, the inverse of the observed information of
+    `score_information` at the last accepted Newton iterate, the optimum.
+    `fit_seconds` times the Newton iterations, from the start's
+    log-likelihood to the optimum's information, not the warm start or the
+    inversion. `loglik_trace` holds the log-likelihood at the start, then at
+    each accepted iterate; `iterations` counts those steps, so it is
+    ``len(loglik_trace) - 1``. `evaluations` counts the log-likelihood
+    evaluations, the start's and each line-search trial's; the score and
+    information are evaluated at the start and at each trial that rises,
+    which is accepted unless they are not finite there. `score_max` is the
+    largest |score| at the optimum scaled by max(1, |loglik|), which the
+    convergence test reads where no step rises.
     """
 
     family: str
@@ -255,38 +259,77 @@ def loglik_sltb(theta: np.ndarray, X: np.ndarray, y: np.ndarray,
                    sltb_logpdf_arrays(mu, phi, s, l, y, logs))
 
 
-def score(theta: np.ndarray, X: np.ndarray, y: np.ndarray, family: str = "sltb",
-          s: float = DEFAULT_S, l: float = DEFAULT_L,
-          logs: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> np.ndarray:
-    """Gradient in theta of `loglik_sltb` (family "sltb") or `loglik_beta`.
+def score_information(theta: np.ndarray, X: np.ndarray, y: np.ndarray,
+                      family: str = "sltb", s: float = DEFAULT_S,
+                      l: float = DEFAULT_L,
+                      logs: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+                      information: bool = True
+                      ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Gradient in theta of `loglik_sltb` (family "sltb") or `loglik_beta`,
+    and the observed information, minus its Hessian (None unless
+    `information`).
 
-    Per row, d/da = psi(a+b) - psi(a) + ln x - d ln Z/da and
-    d/db = psi(a+b) - psi(b) + ln(1-x) - d ln Z/db, where x is the beta
-    argument (y for the beta family, whose Z is 1) and the partials of
-    ln Z come from `sltb_log_normalizer_partials`, which sums the same
-    DLMF 8.17.8 tail series as the density's normalizer and differentiates
-    it in the same pass. Through a = mu*phi, b = (1-mu)*phi,
-    mu = expit(X beta) and phi = exp(eta) they give
-    X^T [phi mu (1-mu) (d/da - d/db)] and sum(a d/da + b d/db). No domain
-    checking: the caller evaluates `loglik_*` at theta first, which checks
-    the response, and asks for the score only where that is finite. Rows
-    whose tail series needs more terms than its cap make the score NaN.
-    `logs` is as in `loglik_sltb`.
+    Per row, the log-likelihood f has the shape partials
+    f_a = psi(a+b) - psi(a) + ln x - L_a and f_b = psi(a+b) - psi(b) +
+    ln(1-x) - L_b, and f_aa = psi'(a+b) - psi'(a) - L_aa, f_ab = psi'(a+b)
+    - L_ab and f_bb = psi'(a+b) - psi'(b) - L_bb (Ferrari & Cribari-Neto
+    2004), where x is the beta argument (y for the beta family, whose Z is
+    1) and the partials of L = ln Z come from `sltb_log_normalizer_partials`,
+    which sums the same DLMF 8.17.8 tail series as the density's normalizer
+    and differentiates it in the same pass. Through a = mu*phi,
+    b = (1-mu)*phi, mu = expit(X beta) and phi = exp(eta), with
+    w = a(1-mu) = da/d(X beta), the score is X^T [w (f_a - f_b)] and
+    sum(a f_a + b f_b), and the Hessian has, per row,
+      w^2 (f_aa - 2 f_ab + f_bb) + (1 - 2 mu) w (f_a - f_b) in (beta, beta),
+      w (f_a - f_b) + w (a f_aa + (b - a) f_ab - b f_bb) in (beta, eta) and
+      a f_a + b f_b + a^2 f_aa + 2 a b f_ab + b^2 f_bb in (eta, eta),
+    in which psi'(a+b) cancels from the first two and comes to phi^2
+    psi'(phi) in the third. psi and psi' are evaluated once on the stacked
+    shapes and shared with the normalizer's partials. No domain checking:
+    the caller evaluates `loglik_*` at theta first, which checks the
+    response, and asks for derivatives only where that is finite. Rows
+    whose tail series needs more terms than its cap make them NaN. `logs`
+    is as in `loglik_sltb`.
     """
     beta, eta = _theta_parts(theta, X)
     mu = expit(_linear_predictor(beta, X))
     phi = math.exp(eta)
-    a, b = mu * phi, (1.0 - mu) * phi
+    p = np.array((mu * phi, (1.0 - mu) * phi))  # the shapes (a, b)
+    a, b = p
+    psi = _sp.digamma(p)
+    tri = _sp.zeta(2.0, p) if information else None  # psi'(x) = zeta(2, x)
     if family == "beta":
-        ln_x, ln_1mx, z_a, z_b = np.log(y), np.log1p(-y), 0.0, 0.0
+        ln_x, ln_1mx, z = np.log(y), np.log1p(-y), (0.0,) * 5
     else:
         ln_x, ln_1mx = log_x_pair(y, s, l)[2:] if logs is None else logs
-        z_a, z_b = sltb_log_normalizer_partials(mu, phi, s, l)
+        z = sltb_log_normalizer_partials(mu, phi, s, l, 2 if information else 1,
+                                         (psi, tri))
     psi_phi = _sp.digamma(phi)
-    d_a = psi_phi - _sp.digamma(a) + ln_x - z_a
-    d_b = psi_phi - _sp.digamma(b) + ln_1mx - z_b
-    return np.append(X.T @ (a * (1.0 - mu) * (d_a - d_b)),
-                     np.sum(a * d_a + b * d_b))
+    d_a = psi_phi - psi[0] + ln_x - z[0]
+    d_b = psi_phi - psi[1] + ln_1mx - z[1]
+    w = a * (1.0 - mu)
+    d_lp, d_eta = w * (d_a - d_b), a * d_a + b * d_b
+    grad = np.append(X.T @ d_lp, np.sum(d_eta))
+    if not information:
+        return grad, None
+    # the shape second partials less psi'(phi), which cancels or is added back
+    d_aa, d_ab, d_bb = -tri[0] - z[2], -z[3], -tri[1] - z[4]
+    h_lp = w * w * (d_aa - 2.0 * d_ab + d_bb) + (1.0 - 2.0 * mu) * d_lp
+    h_mixed = d_lp + w * (a * d_aa + (b - a) * d_ab - b * d_bb)
+    h_eta = (d_eta + a * a * d_aa + 2.0 * a * b * d_ab + b * b * d_bb
+             + phi * phi * _sp.zeta(2.0, phi))
+    info = np.empty((grad.size, grad.size))
+    info[:-1, :-1] = -(X.T * h_lp) @ X
+    info[-1, :-1] = info[:-1, -1] = -(X.T @ h_mixed)
+    info[-1, -1] = -np.sum(h_eta)
+    return grad, info
+
+
+def score(theta: np.ndarray, X: np.ndarray, y: np.ndarray, family: str = "sltb",
+          s: float = DEFAULT_S, l: float = DEFAULT_L,
+          logs: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> np.ndarray:
+    """The gradient half of `score_information`."""
+    return score_information(theta, X, y, family, s, l, logs, information=False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -300,19 +343,38 @@ def warm_start(X: np.ndarray, y: np.ndarray, l: float) -> np.ndarray:
     return np.append(beta0, np.log(10.0))
 
 
+def _loadings(v: np.ndarray, names: Sequence[str]) -> str:
+    """The entries of the unit vector v of at least 0.1, by name."""
+    return ", ".join(f"{nm} {c:+.2f}" for nm, c in zip(names, v) if abs(c) >= 0.1)
+
+
 def fit_mle(spec: RegressionSpec, data: TabularDataset, family: str = "sltb",
             s: float = DEFAULT_S, l: float = DEFAULT_L) -> FitResult:
-    """Maximize the log-likelihood by BFGS on its analytic `score`.
+    """Maximize the log-likelihood by Newton steps on the observed
+    information of `score_information`.
 
     The start is `warm_start` on the response squeezed to
     (y(n-1) + 1/2)/n (Smithson & Verkuilen 2006), so that rows at exact 0
     or 1 do not pull the least-squares line to the clipping limits. The
-    fit has converged when BFGS reports success or the largest |score| at
-    its point, scaled by max(1, |loglik|), is below 1e-4.
+    information is scaled to a unit diagonal, D^-1/2 I D^-1/2 with
+    D = |diag I|, so that no test below depends on the covariates' units.
+    Each step solves it, its eigenvalues taken in absolute value where it
+    is indefinite, against the score, and is halved until the
+    log-likelihood strictly rises. The fit has converged when the Newton
+    decrement g' I^-1 g, twice the gain the step predicts, is within
+    1e-14 max(1, |loglik|) of zero, or, where no halving of the step that
+    predicts more rises (the log-likelihood's rounding), when the largest
+    |score| scaled by max(1, |loglik|) is below 1e-4. Otherwise, or after
+    100 steps, it raises ConvergenceError.
+    It raises NumericalError where the log-likelihood still rises along a
+    direction whose scaled curvature is below 1e-5 of the largest, which
+    carries most of the decrement: there the data nearly separate, and the
+    maximum lies far out along that direction or at infinity. It also
+    raises NumericalError where the scaled information at the end is not
+    positive definite or its condition number passes 1e12.
 
-    Wald machinery: vcov inverts the observed information, the symmetrized
-    central-difference Jacobian of -`score` at the optimum
-    (`kernel.numeric_hessian`); z = estimate/se, p two-sided normal.
+    Wald machinery: vcov inverts the observed information at the last
+    accepted iterate; z = estimate/se, p two-sided normal.
     """
     if family not in ("beta", "sltb"):
         raise ValidationError(f"unknown family '{family}', expected sltb or beta")
@@ -338,95 +400,97 @@ def fit_mle(spec: RegressionSpec, data: TabularDataset, family: str = "sltb",
         def ll(theta):
             return loglik_sltb(theta, X, y, s, l, logs)
 
-    def negll(theta):
-        # line searches may probe non-finite points; treat them as rejected
-        if not np.isfinite(theta).all():
-            return np.inf
-        return -ll(theta)
-
-    def gradient(theta, value=None):
-        # -score where negll (`value`, if known) is finite, NaN elsewhere
-        if not np.isfinite(negll(theta) if value is None else value):
-            return np.full(theta.shape, np.nan)
-        return -score(theta, X, y, family, s, l, logs)
-
-    trace = []
-
-    def objective(theta):
-        value = negll(theta)
-        if not trace:
-            trace.append(-value)  # the start; the first call evaluates it
-        grad = gradient(theta, value)
-        if np.isfinite(grad).all():
-            return value, grad
-        # no usable score here (see `score`): the line search backs off
-        return np.inf, np.zeros_like(theta)
-
-    def record(intermediate_result):
-        # the optimizer's own value at the iterate, so tracing costs no evaluation
-        trace.append(-intermediate_result.fun)
-
+    labels = names + ("log_phi",)
     n = y.size
-    theta0 = warm_start(X, (y * (n - 1) + 0.5) / n, l)
+    theta = warm_start(X, (y * (n - 1) + 0.5) / n, l)
     t0 = time.perf_counter()
-    with np.errstate(invalid="ignore"):
-        # line searches probe infeasible points; inf arithmetic there is expected
-        # the score sums n rows, so its rounding floor grows with n; below
-        # about 5e-8 per row, steps only fail their line searches
-        qn = _opt.minimize(objective, theta0, method="BFGS", jac=True,
-                           callback=record,
-                           options={"maxiter": 500, "gtol": 5e-8 * n})
+    trace = [ll(theta)]
+    evaluations = 1
+    if math.isfinite(trace[0]):
+        grad, info = score_information(theta, X, y, family, s, l, logs)
+    if not (math.isfinite(trace[0]) and np.isfinite(info).all()):
+        raise ConvergenceError(
+            "no finite log-likelihood and information at the start",
+            best_point=theta, best_value=trace[0])
+    for _ in range(_MAX_NEWTON_STEPS):
+        value = trace[-1]
+        diag = np.abs(np.diag(info))
+        scale = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
+        lam, vec = np.linalg.eigh(info * scale * scale[:, None])
+        weights, along = np.abs(lam), vec.T @ (scale * grad)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            parts = along / weights
+        decrement = float(along @ parts)
+        resolution = 1e-14 * max(1.0, abs(value))
+        if decrement <= resolution:
+            break
+        i = int(np.argmin(weights))
+        if weights[i] <= 1e-5 * weights.max() and not (
+                along[i] * parts[i] < 0.5 * decrement):
+            raise NumericalError(
+                f"the log-likelihood still rises along a direction of "
+                f"near-zero curvature ({lam[i]:.3g}, the largest "
+                f"{weights.max():.3g}) after {len(trace) - 1} iterations: the "
+                f"data nearly separate along "
+                f"{_loadings(vec[:, i] if along[i] > 0 else -vec[:, i], labels)}")
+        step, t = scale * (vec @ parts), 1.0
+        while t * decrement > resolution:
+            candidate = theta + t * step
+            evaluations += 1
+            new = ll(candidate)
+            if new > value:
+                new_grad, new_info = score_information(
+                    candidate, X, y, family, s, l, logs)
+                if np.isfinite(new_info).all():
+                    break
+            t *= 0.5
+        else:
+            break  # no strict ascent: the convergence test below decides
+        theta, grad, info = candidate, new_grad, new_info
+        trace.append(new)
+    else:
+        raise ConvergenceError(
+            f"optimizer failed to converge in {_MAX_NEWTON_STEPS} Newton steps",
+            best_point=theta, best_value=trace[-1])
     elapsed = time.perf_counter() - t0
 
-    theta_hat = qn.x
-    best = -float(qn.fun)
-    score_max = float(np.max(np.abs(qn.jac))) / max(1.0, abs(best))
-    converged = math.isfinite(best) and bool(qn.success or score_max < 1e-4)
-    if not converged:
+    best = trace[-1]
+    score_max = float(np.max(np.abs(grad))) / max(1.0, abs(best))
+    if not (decrement <= resolution or score_max < 1e-4):
         raise ConvergenceError(
             f"optimizer failed to converge after {len(trace) - 1} iterations "
-            f"(scaled score max {score_max:.3e})",
-            best_point=theta_hat, best_value=best)
-
-    try:
-        hess = kernel.numeric_hessian(gradient, theta_hat)
-    except NumericalError:
-        # optimum close to the feasible edge: difference with a finer step
-        hess = kernel.numeric_hessian(
-            gradient, theta_hat, h=np.finfo(float).eps ** (1.0 / 3.0) / 16.0)
-    cond = float(np.linalg.cond(hess))
+            f"(scaled score max {score_max:.3e})", best_point=theta, best_value=best)
+    cond = float(weights.max() / weights.min())
     if not np.isfinite(cond) or cond > 1e12:
         raise NumericalError(
             f"observed information is numerically singular "
-            f"(condition number {cond:.3e})")
-    vcov = np.linalg.inv(hess)
-    diag = np.diag(vcov)
-    if np.any(diag <= 0.0):
+            f"(scaled condition number {cond:.3e})")
+    if lam[0] <= 0.0:
         raise NumericalError(
-            f"observed information is not positive definite "
-            f"(condition number {cond:.3e})")
-    se = np.sqrt(diag)
-    est = np.asarray(theta_hat, dtype=float)
-    z = est / se
+            f"observed information is not positive definite: curvature "
+            f"{lam[0]:.3e} along {_loadings(vec[:, 0], labels)}")
+    vcov = (scale[:, None] * vec / lam) @ (scale[:, None] * vec).T
+    se = np.sqrt(np.diag(vcov))
+    z = theta / se
     pvals = 2.0 * (1.0 - ndtr(np.abs(z)))
 
     return FitResult(
         family=family,
         coef_names=names,
-        coefficients=est[:-1].copy(),
-        log_precision=float(est[-1]),
+        coefficients=theta[:-1].copy(),
+        log_precision=float(theta[-1]),
         loglik=best,
         vcov=vcov,
         se=se,
         z=z,
         p=np.clip(pvals, 0.0, 1.0),
-        converged=converged,
+        converged=True,
         iterations=len(trace) - 1,
         s=float(s),
         l=float(l),
         fit_seconds=float(elapsed),
         loglik_trace=tuple(float(v) for v in trace),
-        evaluations=int(qn.nfev),
+        evaluations=evaluations,
         score_max=score_max,
     )
 

@@ -236,6 +236,22 @@ def test_fit_intercept_only(fit_files, tmp_path):
     assert [r["term"] for r in coefs] == ["(Intercept)", "log_phi"]
 
 
+def test_fit_near_separation_exits_3_naming_the_direction(tmp_path, capsys):
+    # the mle-study benchmark's pinned n=20 set, whose three exact 1s the
+    # coefficients can push toward mu = 1 without bound
+    write_csv(str(tmp_path / "data.csv"),
+              gen_dataset(SimConfig(n=20, reps=16, base_seed=18003000), 3))
+    (tmp_path / "spec.json").write_text(json.dumps(
+        {"response": "y", "terms": ["x1", "x2", "x1:x2"]}))
+    out = tmp_path / "out"
+    assert main(["fit", "--data", str(tmp_path / "data.csv"),
+                 "--spec", str(tmp_path / "spec.json"),
+                 "--out", str(out)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "near-zero curvature" in err and "x1:x2" in err
+    assert not out.exists()
+
+
 def test_fit_malformed_csv(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("y,x\n0.5,1\n0.4\n")
@@ -693,11 +709,24 @@ def test_resolved_defaults_are_the_librarys(alcohol_csv, tmp_path,
     capsys.readouterr()
 
 
-def test_console_script_runs():
+def _fresh_python(*args):
     # the directory holding the package, so an uninstalled checkout runs too
     path = [str(Path(sltb.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    proc = subprocess.run([sys.executable, "-m", "sltb", "--help"],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
+
+
+def test_console_script_runs():
+    proc = _fresh_python("-m", "sltb", "--help")
     assert proc.returncode == 0
     assert "density" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # the fit takes Newton steps of its own; scipy.optimize would add about
+    # a fifth to the import time of every command
+    proc = _fresh_python("-c", "import sys, sltb.cli; "
+                         "print('scipy.optimize' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -755,6 +755,17 @@ def test_cdf_matches_mpmath_where_the_normalizer_is_small(p, gs):
             want, rel=1e-12), g
 
 
+@pytest.mark.parametrize("mu", [1e-3, 0.999])
+def test_quantile_round_trip_where_the_window_sits_in_a_tail(mu):
+    # at (1.08, 0.04) and phi 500, mu 1e-3 leaves F_beta(l) near 1, so the
+    # quantile inverts the upper tail 1 - F_beta(l) - q Z, as the cdf does,
+    # and keeps the accuracy of the mirrored mu 0.999; from F_beta(l) + q Z
+    # its round trip was 4.3e-13 off at q = 0.1
+    p = SltbParams(mu, 500.0, 1.08, 0.04)
+    q = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
+    assert sltb_cdf(p, sltb_quantile(p, q)) == pytest.approx(q, rel=5e-14, abs=0.0)
+
+
 def test_cdf_and_quantile_refuse_a_window_without_mass():
     # shapes of 5e-31 put the beta mass within an ulp of 0 and 1, so the
     # log-normalizer is -inf; the median of this symmetric law is 0.5,

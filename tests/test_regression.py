@@ -11,6 +11,7 @@ import pytest
 from scipy.special import expit
 
 import sltb.kernel as kernel
+import sltb.regression as regression
 from sltb.data import TabularDataset
 from sltb.distributions import (
     DEFAULT_L,
@@ -36,6 +37,7 @@ from sltb.regression import (
     residuals,
     response_vector,
     score,
+    score_information,
 )
 from sltb.simulation import STUDY_SPEC, SimConfig, gen_dataset
 
@@ -312,6 +314,63 @@ def test_score_is_nan_past_the_series_term_cap():
     assert np.isfinite(sltb_log_normalizer_partials(mu, 1e3, s, l)).all()
 
 
+@pytest.mark.parametrize("mu", [1e-4, 1.0 - 1e-4])
+@pytest.mark.parametrize("phi", [700.0, 1e3])
+def test_normalizer_partials_where_the_first_term_ratio_passes_one_over_x(mu, phi):
+    # at (1.08, 0.04) a shape of about 0.1 puts the first term ratio c_0 =
+    # phi x/(p+1) above 1/x; the term count stays finite there. Z is below
+    # e^-30: at phi 700 ln Z is finite and so are the partials and the score,
+    # at phi 1e3 ln Z underflows and the partials are not finite, as before
+    s, l = 1.08, 0.04
+    partials = np.array(sltb_log_normalizer_partials(np.array([mu]), phi, s, l, 2))
+    log_z = sltb_log_normalizer_arrays(np.array([mu]), phi, s, l)
+    assert np.isfinite(partials).all() == np.isfinite(log_z).all() == (phi < 1e3)
+    if phi < 1e3:  # the score is asked for where the log-likelihood is finite
+        theta, X, y = row_theta(mu, phi), np.ones((1, 1)), np.array([0.5])
+        assert math.isfinite(loglik_sltb(theta, X, y, s, l))
+        grad, info = score_information(theta, X, y, "sltb", s, l)
+        assert np.isfinite(grad).all() and np.isfinite(info).all()
+
+
+@pytest.mark.parametrize("n, rep, s, l", [
+    (20, 0, DEFAULT_S, DEFAULT_L), (20, 5, DEFAULT_S, DEFAULT_L),
+    (400, 1, DEFAULT_S, DEFAULT_L), (20, 0, 1.08, 0.04), (400, 1, 1.08, 0.04)],
+    ids=["n20-rep0", "n20-rep5", "n400", "n20-wide", "n400-wide"])
+def test_information_matches_richardson_differences_of_the_score(n, rep, s, l):
+    # study sets at their fit and off it, at the default and the (1.08, 0.04)
+    # window; the gradient half is `score` to the bit
+    data = gen_dataset(SimConfig(n=n, reps=rep + 1, base_seed=0), rep)
+    X, _ = build_design(STUDY_SPEC, data)
+    y = response_vector(STUDY_SPEC, data)
+    fitted = fit_mle(STUDY_SPEC, data, s=s, l=l).theta()
+    for theta in (fitted, fitted + np.array([0.3, -0.2, 0.1, 0.2, -0.5])):
+        grad, info = score_information(theta, X, y, "sltb", s, l)
+        assert np.array_equal(grad, score(theta, X, y, "sltb", s, l))
+        want = -richardson_jacobian(lambda t: score(t, X, y, "sltb", s, l), theta)
+        assert info == pytest.approx(want, rel=1e-7, abs=1e-9 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("family, s, l, phi", [
+    ("beta", 1.0, 0.0, 12.0), ("sltb", DEFAULT_S, DEFAULT_L, 300.0),
+    ("sltb", 1.08, 0.04, 300.0)], ids=["beta", "betainc-rows", "betainc-rows-wide"])
+def test_information_matches_richardson_differences_off_the_series(family, s, l, phi):
+    # the beta family, whose normalizer is 1, and a phi of 300, at which
+    # every row's tails come from the `betainc` fallback
+    data = synth_dataset(150, seed=12, boundary=family == "sltb")
+    X, _ = build_design(SPEC2, data)
+    y = response_vector(SPEC2, data)
+    if family == "beta":
+        y = np.clip(y, 1e-3, 1.0 - 1e-3)
+    else:
+        y[:2] = (0.0, 1.0)
+    for theta in (np.array([0.8, -1.1, 0.5, math.log(phi)]),
+                  np.array([-2.0, 3.0, 1.5, math.log(phi)])):
+        grad, info = score_information(theta, X, y, family, s, l)
+        assert np.array_equal(grad, score(theta, X, y, family, s, l))
+        want = -richardson_jacobian(lambda t: score(t, X, y, family, s, l), theta)
+        assert info == pytest.approx(want, rel=1e-7, abs=1e-9 * np.abs(want).max())
+
+
 _SERIES_MUS = np.concatenate([np.geomspace(1e-5, 0.5, 64),
                               1.0 - np.geomspace(1e-5, 0.5, 64)])
 
@@ -343,6 +402,37 @@ def test_normalizer_partials_match_differences_of_the_normalizer(s, l, mu, phi):
     # a = mu phi, b = (1 - mu) phi
     assert phi * (d_a - d_b) == pytest.approx(d_mu, rel=1e-6, abs=1e-12)
     assert mu * d_a + (1 - mu) * d_b == pytest.approx(d_phi, rel=1e-6, abs=1e-12)
+
+
+_WIDE_MUS = np.linspace(0.01, 0.99, 64)
+_RESOLVED_MUS = np.concatenate([np.geomspace(1e-3, 0.5, 64),
+                                1.0 - np.geomspace(1e-3, 0.5, 64)])
+
+
+@pytest.mark.parametrize("s, l, mu, phi", [
+    (1.0, 0.0, np.array([0.2, 0.7]), 5.0),
+    (1.1, 0.0, np.array([0.2, 0.7]), 5.0),
+    (1.08, 0.04, np.array([0.2, 0.7]), 5.0),
+    (1.08, 0.04, _WIDE_MUS, 12.0),
+    (1.08, 0.04, _WIDE_MUS, 300.0),
+    *[(DEFAULT_S, DEFAULT_L, _RESOLVED_MUS, phi) for phi in (0.1, 5.0, 60.0)],
+], ids=["1.0-0.0", "1.1-0.0", "1.08-0.04", "wide-phi-12", "wide-phi-300",
+        "series-phi-0.1", "series-phi-5", "series-phi-60"])
+def test_normalizer_second_partials_match_differences_of_the_first(s, l, mu, phi):
+    # as above, with the first partials as the function differenced. At
+    # phi 300 every row's tails come from `betainc`. The series rows stop at
+    # mu 1e-3: nearer 0 and 1 the rounding of 1 - mu moves the first
+    # partials' differences by more than 1e-6
+    d_a, d_b, d_aa, d_ab, d_bb = sltb_log_normalizer_partials(mu, phi, s, l, 2)
+    assert np.array_equal(d_a, sltb_log_normalizer_partials(mu, phi, s, l)[0])
+    first = lambda m, f: np.array(sltb_log_normalizer_partials(m, f, s, l))
+    d_mu = _richardson_difference(lambda m: first(m, phi), mu,
+                                  1e-3 * np.minimum(mu, 1.0 - mu))
+    d_phi = _richardson_difference(lambda f: first(mu, f), phi, 1e-3 * phi)
+    assert phi * np.array([d_aa - d_ab, d_ab - d_bb]) == pytest.approx(
+        d_mu, rel=1e-6, abs=1e-12)
+    assert np.array([mu * d_aa + (1 - mu) * d_ab, mu * d_ab + (1 - mu) * d_bb]
+                    ) == pytest.approx(d_phi, rel=1e-6, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +495,7 @@ def test_fit_reports_its_evaluations_and_score(synth_fit):
     data, fit = synth_fit
     X, _ = build_design(SPEC2, data)
     y = response_vector(SPEC2, data)
-    # one BFGS run on the analytic score: tens of evaluations, not hundreds
+    # Newton steps on the closed-form information: a few evaluations
     assert fit.iterations < fit.evaluations < 100
     want = np.max(np.abs(score(fit.theta(), X, y))) / max(1.0, abs(fit.loglik))
     assert fit.score_max == pytest.approx(want, rel=1e-6, abs=1e-15)
@@ -519,6 +609,51 @@ def test_fit_se_matches_richardson_differences_of_the_score():
             info = -richardson_jacobian(lambda t: score(t, X, y), fit.theta())
             se = np.sqrt(np.diag(np.linalg.inv(0.5 * (info + info.T))))
             assert fit.se == pytest.approx(se, rel=1e-8, abs=0.0), (n, rep)
+
+
+def test_fit_names_the_flat_direction_of_a_near_separation(monkeypatch):
+    # three exact 1s that the coefficients can push toward mu = 1 without
+    # bound: the log-likelihood keeps rising along one direction as its
+    # curvature vanishes. The fit says so, naming the coefficients that load
+    # on it, within a few evaluations (the BFGS fit it replaced made 66
+    # log-likelihood and 64 score calls before its indefinite Hessian)
+    data = gen_dataset(SimConfig(n=20, reps=16, base_seed=18003000), 3)
+    calls = {"loglik_sltb": 0, "score_information": 0}
+
+    def counted(name):
+        inner = getattr(regression, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(regression, name, counted(name))
+    with pytest.raises(NumericalError, match="near-zero curvature") as err:
+        fit_mle(STUDY_SPEC, data)
+    message = str(err.value)
+    for name in ("(Intercept)", "x1", "x2", "x1:x2"):
+        assert f"{name} " in message
+    assert "log_phi" not in message
+    assert calls["loglik_sltb"] < 66 and calls["score_information"] < 64
+
+
+@pytest.mark.parametrize("column", ["x1", "x2"])
+def test_fit_does_not_depend_on_covariate_units(column):
+    # a covariate in thousandths: the information's raw eigenvalues then
+    # differ by 1e6 or more on any data, so a flatness test on them would
+    # call this well-posed fit a separation. The coefficient and its SE
+    # scale by 1e-3 and nothing else moves
+    data = synth_dataset(400, seed=3)
+    fit = fit_mle(SPEC2, data)
+    columns = {name: data.numeric(name) for name in ("x1", "x2", "y")}
+    columns[column] = columns[column] * 1e3
+    refit = fit_mle(SPEC2, TabularDataset(columns))
+    unit = np.where(np.array(["-", "x1", "x2", "-"]) == column, 1e-3, 1.0)
+    assert refit.theta() == pytest.approx(unit * fit.theta(), rel=1e-10, abs=0.0)
+    assert refit.se == pytest.approx(unit * fit.se, rel=1e-8, abs=0.0)
+    assert refit.loglik == pytest.approx(fit.loglik, rel=1e-13)
 
 
 def test_fit_unknown_family():
