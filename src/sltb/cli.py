@@ -128,18 +128,21 @@ def _refuse_non_finite(name: str, header, rows) -> None:
 # configuration
 # ---------------------------------------------------------------------------
 
-def resolve_seed(flag_seed: Optional[int],
-                 config_seed=None) -> int:
-    """Precedence: --seed flag, config file, SLTB_DEFAULT_SEED, then 0."""
+def resolve_seed(flag_seed: Optional[int], config_seed=None,
+                 config_key: str = "seed") -> int:
+    """Precedence: --seed flag, config file, SLTB_DEFAULT_SEED, then 0.
+    A value that is not a nonnegative integer is refused, naming its source."""
     for label, value in (("--seed", flag_seed),
-                         ("config seed", config_seed),
+                         (f"config '{config_key}'", config_seed),
                          ("SLTB_DEFAULT_SEED", os.environ.get("SLTB_DEFAULT_SEED"))):
         if value is None:
             continue
         try:
-            return int(value)
+            if int(value) >= 0:
+                return int(value)
         except (TypeError, ValueError):
-            raise ValidationError(f"{label} must be an integer, got {value!r}")
+            pass
+        raise ValidationError(f"{label} must be a nonnegative integer, got {value!r}")
     return 0
 
 
@@ -337,7 +340,7 @@ def cmd_fit(args):
 def cmd_simulate(args):
     cfg = _read_config(_load_json_object(args.config, "config"), _SIMULATE,
                        "config")
-    seed = resolve_seed(args.seed, cfg.pop("base_seed"))
+    seed = resolve_seed(args.seed, cfg.pop("base_seed"), "base_seed")
     methods = cfg.pop("methods")
     report = run_study(SimConfig(**cfg, base_seed=seed), methods=methods,
                        threads=args.threads)

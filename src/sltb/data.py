@@ -89,12 +89,16 @@ def round_responses(y: np.ndarray, decimals: Optional[int]) -> np.ndarray:
     """`y` rounded to `decimals` places (ties to even), or `y` itself for
     None: how the data generators put exact 0s and 1s into draws on (0, 1).
 
-    A negative count is refused, since it would round every response to 0.
+    A negative count is refused, since it would round every response to 0,
+    and so is a count above 308, at which 10**decimals overflows and
+    `np.round` returns NaN.
     """
     if decimals is None:
         return y
     if decimals < 0:
         raise ValidationError("rounding_decimals must be >= 0 or None")
+    if decimals > 308:
+        raise ValidationError(f"rounding_decimals must be at most 308, got {decimals}")
     return np.round(y, decimals)
 
 

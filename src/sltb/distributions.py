@@ -215,10 +215,10 @@ def sltb_log_normalizer_arrays(mu, phi, s, l, ln_b=None):
         return np.log1p(-_tail_series(np.array((a, b)), phi, x, ln_b, n))
 
 
-def _tail_series(p, phi, x, ln_b, n, order=0):
+def _tail_series(p, phi, x, ln_b, n, partials=False):
     """The sum of the tails I_x(p,q), q = p[::-1] and p + q = phi, by n
-    terms of DLMF 8.17.8; for `order` 1, (each tail, the sum, (S_p/S,
-    S_q/S)), and for `order` 2 also S_pp/S, S_pq/S and S_qq/S in that tuple.
+    terms of DLMF 8.17.8; with `partials`, (each tail, the sum, (S_p/S,
+    S_q/S, S_pp/S, S_pq/S, S_qq/S)).
 
     I_x(p,q) = x^p (1-x)^q / (p B(p,q)) * S with S = sum_k t_k, t_0 = 1,
     t_k+1 = t_k c_k, c_k = (p+q+k) x / (p+1+k), all terms positive. Horner
@@ -242,17 +242,16 @@ def _tail_series(p, phi, x, ln_b, n, order=0):
     q, p1 = p[::-1], p + 1.0
     ln_b = _log_inv_beta(*p) if ln_b is None else ln_b
     series, s_p, s_q, s_pp, s_pq, s_qq = 1.0, 0.0, 0.0, 0.0, 0.0, 0.0
-    one_q = 1.0 - q if order else None
+    one_q = 1.0 - q if partials else None
     for k in range(n - 2, -1, -1):
         num, den = (phi + k) * x, p1 + k
-        if order:  # dS_k = c_k (S_k+1 d ln c_k + dS_k+1), and once more
+        if partials:  # dS_k = c_k (S_k+1 d ln c_k + dS_k+1), and once more
             ratio = num / den
-            d_p = one_q / ((phi + k) * den)
-            if order == 2:
-                d_q, lag = 1.0 / (phi + k), s_p - series / den
-                s_pp = ratio * (2.0 * d_p * lag + s_pp)
-                s_pq = ratio * (d_p * s_q + d_q * lag + s_pq)
-                s_qq = ratio * (2.0 * d_q * s_q + s_qq)
+            d_p, d_q = one_q / ((phi + k) * den), 1.0 / (phi + k)
+            lag = s_p - series / den
+            s_pp = ratio * (2.0 * d_p * lag + s_pp)
+            s_pq = ratio * (d_p * s_q + d_q * lag + s_pq)
+            s_qq = ratio * (2.0 * d_q * s_q + s_qq)
             s_p = ratio * (s_p + d_p * series)
             s_q = ratio * (s_q + series / (phi + k))
         series = series * num / den + 1.0
@@ -265,18 +264,17 @@ def _tail_series(p, phi, x, ln_b, n, order=0):
         a, b = p[0][redo], p[1][redo]
         lower, upper = _sp.betainc(a, b, x.flat[0]), _sp.betainc(b, a, x.flat[1])
         total[redo] = np.minimum(lower + upper, 1.0)
-        if order:
+        if partials:
             tail[0][redo], tail[1][redo] = lower, upper
-    if not order:
+    if not partials:
         return total
-    ratios = (s_p, s_q, s_pp, s_pq, s_qq)[:2 if order == 1 else 5]
-    return tail, total, tuple(d / series for d in ratios)
+    return tail, total, tuple(d / series for d in (s_p, s_q, s_pp, s_pq, s_qq))
 
 
-def sltb_log_normalizer_partials(mu, phi, s, l, order=1, polygammas=None):
-    """Partials of ln Z, Z = 1 - I_l(a,b) - I_eps(b,a), in the shapes
-    a = mu*phi and b = (1-mu)*phi, with eps = 1 - (1/s + l), as arrays:
-    (d/da, d/db), and for `order` 2 also (d2/da2, d2/da db, d2/db2).
+def sltb_log_normalizer_partials(mu, phi, s, l, polygammas=None):
+    """First and second partials of ln Z, Z = 1 - I_l(a,b) - I_eps(b,a), in
+    the shapes a = mu*phi and b = (1-mu)*phi, with eps = 1 - (1/s + l), as
+    five arrays: d/da, d/db, d2/da2, d2/da db and d2/db2.
 
     A tail I = I_x(p,q) = x^p (1-x)^q S Γ(p+q) / (Γ(p+1) Γ(q)) has
     d ln I/dp = ln x - psi(p+1) + psi(p+q) + S_p/S and d ln I/dq =
@@ -284,10 +282,10 @@ def sltb_log_normalizer_partials(mu, phi, s, l, order=1, polygammas=None):
     psi'(p+q) - psi'(p+1) + S_pp/S - (S_p/S)^2, psi'(p+q) + S_pq/S -
     S_p S_q/S^2 and psi'(p+q) - psi'(q) + S_qq/S - (S_q/S)^2, with the tail
     and the ratios from `_tail_series`. `polygammas` is (psi, psi') of the
-    stacked shapes (a, b) (psi' only for order 2), as the caller computed
-    them, or None; psi(p+1) is psi(p) + 1/p and psi'(p+1) is psi'(p) - 1/p^2,
-    whose rounding, eps/p and eps/p^2, reaches the log-likelihood's
-    derivatives in theta times p and p^2, below their own floor of eps/Z.
+    stacked shapes (a, b), as the caller computed them, or None; psi(p+1)
+    is psi(p) + 1/p and psi'(p+1) is psi'(p) - 1/p^2, whose rounding, eps/p
+    and eps/p^2, reaches the log-likelihood's derivatives in theta times p
+    and p^2, below their own floor of eps/Z.
 
     The term ratios run monotonically from c_0 = phi x/(p+1) toward x, so
     they are at most rho, their larger, from the first term on; where that
@@ -312,9 +310,9 @@ def sltb_log_normalizer_partials(mu, phi, s, l, order=1, polygammas=None):
         need = (np.maximum(phi * x - rho * p1, 0.0) / (h - x) + np.maximum(
             np.ceil(np.log(1e-17 * (1.0 - rho) / bound) / np.log(rho)), 0.0))
         n = min(math.ceil(need.max()), _TERM_CAP)
-        tail, total, d = _tail_series(p, phi, x, None, n, order)
+        tail, total, d = _tail_series(p, phi, x, None, n, partials=True)
         if polygammas is None:
-            polygammas = (_sp.digamma(p), _sp.zeta(2.0, p) if order == 2 else None)
+            polygammas = (_sp.digamma(p), _sp.zeta(2.0, p))  # psi' = zeta(2, .)
         psi, tri = polygammas
         psi_phi, inv_p = _sp.digamma(phi), 1.0 / p
         g_p = np.log(x) - (psi + inv_p) + psi_phi + d[0]
@@ -325,17 +323,14 @@ def sltb_log_normalizer_partials(mu, phi, s, l, order=1, polygammas=None):
         live = tail > 0.0
         t_p, t_q = np.where(live, tail * g_p, 0.0), np.where(live, tail * g_q, 0.0)
         inv_z = -1.0 / (1.0 - total)
-        first = ((t_p[0] + t_q[1]) * inv_z, (t_q[0] + t_p[1]) * inv_z)
-        if order == 1:
-            return first
-        tri_phi = _sp.zeta(2.0, phi)  # psi'(x) = zeta(2, x)
+        l_a, l_b = (t_p[0] + t_q[1]) * inv_z, (t_q[0] + t_p[1]) * inv_z
+        tri_phi = _sp.zeta(2.0, phi)
         t_pp = np.where(live, tail * (tri_phi - (tri - inv_p * inv_p) + d[2]
                                       - d[0] * d[0] + g_p * g_p), 0.0)
         t_pq = np.where(live, tail * (tri_phi + d[3] - d[0] * d[1] + g_p * g_q), 0.0)
         t_qq = np.where(live, tail * (tri_phi - tri[::-1] + d[4]
                                       - d[1] * d[1] + g_q * g_q), 0.0)
-        l_a, l_b = first
-        return (*first, (t_pp[0] + t_qq[1]) * inv_z - l_a * l_a,
+        return (l_a, l_b, (t_pp[0] + t_qq[1]) * inv_z - l_a * l_a,
                 (t_pq[0] + t_pq[1]) * inv_z - l_a * l_b,
                 (t_qq[0] + t_pp[1]) * inv_z - l_b * l_b)
 
@@ -361,38 +356,38 @@ def sltb_logpdf_arrays(mu, phi, s, l, g, logs=None):
         return np.where(np.isfinite(log_norm), core - log_norm, -np.inf)
 
 
-def _cdf_arrays(p: SltbParams, g, norm: float):
-    """(F_beta(g/s + l) - F_beta(l)) / norm, with the numerator a difference
-    of lower-tail values where F_beta(l) < 1/2 and of upper-tail values
-    (1 - F_beta) above, so that a small Z does not cancel it away. Each
-    value is taken at x for x <= 1/2 and at 1 - x above, for accuracy at
-    either end. The top of the support maps to exactly 1."""
+def _window(p: SltbParams):
+    """(F_beta(l), 1 - F_beta(l), Z) of `p`, with the truncation normalizer
+    Z the complement of the larger beta tail less the smaller, so that a
+    small Z keeps its digits; a NumericalError where that Z is not
+    positive, since no cdf or quantile is defined on a window without mass."""
+    a, b, eps = p.alpha(), p.beta_shape(), (p.s - 1.0 - p.l * p.s) / p.s
+    f_l, c_l = _sp.betainc(a, b, p.l), _sp.betaincc(a, b, p.l)
+    upper = _sp.betainc(b, a, eps)
+    norm = float(c_l - upper if f_l >= upper else _sp.betaincc(b, a, eps) - f_l)
+    if not norm > 0.0:
+        raise NumericalError(
+            f"the truncation window [l, 1/s + l] holds no representable "
+            f"beta mass at mu={p.mu}, phi={p.phi} (normalizer {norm})")
+    return f_l, c_l, norm
+
+
+def _cdf_arrays(p: SltbParams, g, window):
+    """(F_beta(g/s + l) - F_beta(l)) / Z, `window` being `_window(p)`, with
+    the numerator a difference of lower-tail values where F_beta(l) < 1/2
+    and of upper-tail values (1 - F_beta) above, so that a small Z does not
+    cancel it away. Each value is taken at x for x <= 1/2 and at 1 - x
+    above, for accuracy at either end. The top of the support maps to
+    exactly 1."""
+    f_l, c_l, norm = window
     a, b = p.alpha(), p.beta_shape()
     x, one_minus, _, _ = log_x_pair(g, p.s, p.l)
-    f_l = _sp.betainc(a, b, p.l)
     lower, upper = x <= 0.5, f_l >= 0.5
     args = (np.where(lower, a, b), np.where(lower, b, a),
             np.where(lower, x, np.maximum(one_minus, 0.0)))
     tail = np.where(lower != upper, _sp.betainc(*args), _sp.betaincc(*args))
-    num = _sp.betaincc(a, b, p.l) - tail if upper else tail - f_l
+    num = c_l - tail if upper else tail - f_l
     return np.where(g >= 1.0, 1.0, np.clip(num / norm, 0.0, 1.0))
-
-
-def _normalizer(p: SltbParams) -> float:
-    """Truncation normalizer Z of `p`, the complement of the larger beta
-    tail less the smaller, so that a small Z keeps its digits; a
-    NumericalError where the log-normalizer underflows, since no cdf or
-    quantile is defined on a window without mass."""
-    log_norm = float(sltb_log_normalizer_arrays(p.mu, p.phi, p.s, p.l))
-    if not np.isfinite(log_norm):
-        raise NumericalError(
-            f"the truncation window [l, 1/s + l] holds no representable "
-            f"beta mass at mu={p.mu}, phi={p.phi} (ln normalizer {log_norm})")
-    a, b, eps = p.alpha(), p.beta_shape(), (p.s - 1.0 - p.l * p.s) / p.s
-    lower, upper = _sp.betainc(a, b, p.l), _sp.betainc(b, a, eps)
-    if lower >= upper:
-        return float(_sp.betaincc(a, b, p.l) - upper)
-    return float(_sp.betaincc(b, a, eps) - lower)
 
 
 def _unit_interval(v, name: str) -> np.ndarray:
@@ -438,7 +433,7 @@ def sltb_pdf(p: SltbParams, g):
 def sltb_cdf(p: SltbParams, g):
     """CDF of the SLTB law: (F_beta(g/s + l) - F_beta(l)) / normalizer."""
     arr = _unit_interval(g, "g")
-    return _shaped_like(g, _cdf_arrays(p, arr, _normalizer(p)))
+    return _shaped_like(g, _cdf_arrays(p, arr, _window(p)))
 
 
 def sltb_quantile(p: SltbParams, q):
@@ -449,15 +444,14 @@ def sltb_quantile(p: SltbParams, q):
     in the cdf. q = 0 and q = 1 map to 0 and 1."""
     arr = _unit_interval(q, "q")
     a, b = p.alpha(), p.beta_shape()
-    norm = _normalizer(p)
-    f_l = _sp.betainc(a, b, p.l)
+    window = f_l, c_l, norm = _window(p)
     if f_l < 0.5:
         x = _sp.betaincinv(a, b, np.minimum(f_l + arr * norm, 1.0))
     else:
-        x = _sp.betainccinv(a, b, np.maximum(_sp.betaincc(a, b, p.l) - arr * norm, 0.0))
+        x = _sp.betainccinv(a, b, np.maximum(c_l - arr * norm, 0.0))
     g = np.clip((x - p.l) * p.s, 0.0, 1.0)
     with np.errstate(all="ignore"):  # an infinite or zero density skips the step
-        step = (_cdf_arrays(p, g, norm) - arr) / np.exp(
+        step = (_cdf_arrays(p, g, window) - arr) / np.exp(
             sltb_logpdf_arrays(p.mu, p.phi, p.s, p.l, g))
     g = np.where(np.isfinite(step), np.clip(g - step, 0.0, 1.0), g)
     return _shaped_like(q, np.where((arr == 0.0) | (arr == 1.0), arr, g))

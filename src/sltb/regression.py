@@ -4,9 +4,10 @@ The mean is linked through logit and the precision is a single constant
 on the log scale, so the parameter vector is theta = (beta_0..beta_k, eta)
 with phi = exp(eta). Two families share the machinery: the plain beta
 likelihood (interior data only) and the boundary-tolerant SLTB likelihood.
-`score_information` gives the score and the observed information of both
-in closed form, and `fit_mle` takes Newton steps on them and inverts the
-information for Wald inference.
+`score_information` is the one closed form of the score and the observed
+information of both; `fit_mle` takes Newton steps on them and inverts the
+information for Wald inference. The log-likelihoods check the response,
+so a beta fit is refused at its start's `loglik_beta` call.
 """
 
 from __future__ import annotations
@@ -234,8 +235,8 @@ def loglik_beta(theta: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
     boundary = np.nonzero((y <= 0.0) | (y >= 1.0))[0]
     if boundary.size:
         raise BoundaryError(
-            "beta log-likelihood is undefined at 0/1 responses (rows "
-            + ", ".join(str(int(i)) for i in boundary[:10]) + ")",
+            "beta log-likelihood is undefined at 0/1 responses; boundary rows: "
+            + ", ".join(str(int(i)) for i in boundary[:10]),
             rows=tuple(int(i) for i in boundary))
     return _loglik(theta, X, lambda mu, phi: beta_logpdf_arrays(mu, phi, y))
 
@@ -262,12 +263,11 @@ def loglik_sltb(theta: np.ndarray, X: np.ndarray, y: np.ndarray,
 def score_information(theta: np.ndarray, X: np.ndarray, y: np.ndarray,
                       family: str = "sltb", s: float = DEFAULT_S,
                       l: float = DEFAULT_L,
-                      logs: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-                      information: bool = True
-                      ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+                      logs: Optional[Tuple[np.ndarray, np.ndarray]] = None
+                      ) -> Tuple[np.ndarray, np.ndarray]:
     """Gradient in theta of `loglik_sltb` (family "sltb") or `loglik_beta`,
-    and the observed information, minus its Hessian (None unless
-    `information`).
+    and the observed information, minus its Hessian: the one place the
+    score formula lives.
 
     Per row, the log-likelihood f has the shape partials
     f_a = psi(a+b) - psi(a) + ln x - L_a and f_b = psi(a+b) - psi(b) +
@@ -297,21 +297,18 @@ def score_information(theta: np.ndarray, X: np.ndarray, y: np.ndarray,
     p = np.array((mu * phi, (1.0 - mu) * phi))  # the shapes (a, b)
     a, b = p
     psi = _sp.digamma(p)
-    tri = _sp.zeta(2.0, p) if information else None  # psi'(x) = zeta(2, x)
+    tri = _sp.zeta(2.0, p)  # psi'(x) = zeta(2, x)
     if family == "beta":
         ln_x, ln_1mx, z = np.log(y), np.log1p(-y), (0.0,) * 5
     else:
         ln_x, ln_1mx = log_x_pair(y, s, l)[2:] if logs is None else logs
-        z = sltb_log_normalizer_partials(mu, phi, s, l, 2 if information else 1,
-                                         (psi, tri))
+        z = sltb_log_normalizer_partials(mu, phi, s, l, (psi, tri))
     psi_phi = _sp.digamma(phi)
     d_a = psi_phi - psi[0] + ln_x - z[0]
     d_b = psi_phi - psi[1] + ln_1mx - z[1]
     w = a * (1.0 - mu)
     d_lp, d_eta = w * (d_a - d_b), a * d_a + b * d_b
     grad = np.append(X.T @ d_lp, np.sum(d_eta))
-    if not information:
-        return grad, None
     # the shape second partials less psi'(phi), which cancels or is added back
     d_aa, d_ab, d_bb = -tri[0] - z[2], -z[3], -tri[1] - z[4]
     h_lp = w * w * (d_aa - 2.0 * d_ab + d_bb) + (1.0 - 2.0 * mu) * d_lp
@@ -323,13 +320,6 @@ def score_information(theta: np.ndarray, X: np.ndarray, y: np.ndarray,
     info[-1, :-1] = info[:-1, -1] = -(X.T @ h_mixed)
     info[-1, -1] = -np.sum(h_eta)
     return grad, info
-
-
-def score(theta: np.ndarray, X: np.ndarray, y: np.ndarray, family: str = "sltb",
-          s: float = DEFAULT_S, l: float = DEFAULT_L,
-          logs: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> np.ndarray:
-    """The gradient half of `score_information`."""
-    return score_information(theta, X, y, family, s, l, logs, information=False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -382,15 +372,9 @@ def fit_mle(spec: RegressionSpec, data: TabularDataset, family: str = "sltb",
     X, names = build_design(spec, data)
     y = response_vector(spec, data)
     if family == "beta":
-        boundary = np.nonzero((y <= 0.0) | (y >= 1.0))[0]
-        if boundary.size:
-            raise BoundaryError(
-                "family=beta requires an interior-only response; boundary rows: "
-                + ", ".join(str(int(i)) for i in boundary[:10]),
-                rows=tuple(int(i) for i in boundary))
         logs = None
 
-        def ll(theta):
+        def ll(theta):  # refuses a response at 0 or 1 at the start
             return loglik_beta(theta, X, y)
     else:
         # y is fixed for the fit and response_vector has checked it

@@ -109,6 +109,10 @@ def test_seed_precedence(monkeypatch):
     monkeypatch.setenv("SLTB_DEFAULT_SEED", "nope")
     with pytest.raises(ValidationError):
         resolve_seed(None, None)
+    monkeypatch.setenv("SLTB_DEFAULT_SEED", "-2")
+    with pytest.raises(ValidationError, match="SLTB_DEFAULT_SEED must be a "
+                       "nonnegative integer, got '-2'"):
+        resolve_seed(None, None)
 
 
 def test_load_spec_validation(tmp_path):
@@ -580,6 +584,18 @@ _INF, _NAN = float("inf"), float("nan")  # json.dumps writes Infinity and NaN
      "with s=1.0, l=0.0 a response at 0 or 1 maps onto the beta boundary"),
     (["hier-linear", "--data", "@alc-zeros"], {"s": 1, "l": 0}, EXIT_VALIDATION,
      "with s=1.0, l=0.0 a response at 0 or 1 maps onto the beta boundary"),
+    (["simulate", "--seed", "-1"], {"n": 20, "reps": 2}, EXIT_VALIDATION,
+     "--seed must be a nonnegative integer, got -1"),
+    (["hier-linear", "--data", "@alc", "--seed", "-1"], None, EXIT_VALIDATION,
+     "--seed must be a nonnegative integer, got -1"),
+    (["hier-nonlinear", "--seed", "-1"], {"nsubj": 3}, EXIT_VALIDATION,
+     "--seed must be a nonnegative integer, got -1"),
+    (["simulate"], {"n": 20, "reps": 2, "base_seed": -4}, EXIT_VALIDATION,
+     "config 'base_seed' must be a nonnegative integer, got -4"),
+    (["simulate"], {"n": 20, "reps": 2, "rounding_decimals": 400},
+     EXIT_VALIDATION, "rounding_decimals must be at most 308, got 400"),
+    (["hier-nonlinear"], {"nsubj": 3, "rounding_decimals": 309},
+     EXIT_VALIDATION, "rounding_decimals must be at most 308, got 309"),
 ], ids=["density-tiny-phi", "density-inf-phi", "spec-without-response", "iters-not-int",
         "prior-not-number", "n-not-int", "beta-true-not-list",
         "rounding-not-int", "methods-not-list", "delays-not-list",
@@ -590,7 +606,10 @@ _INF, _NAN = float("inf"), float("nan")  # json.dumps writes Infinity and NaN
         "phi-true-inf", "beta-true-nan", "prior-nan", "delay-inf", "truth-inf",
         "prior-variance-inf", "hier-linear-s-below-one",
         "hier-linear-l-negative", "fit-window-at-ones",
-        "hier-linear-window-at-zeros"])
+        "hier-linear-window-at-zeros", "simulate-seed-negative",
+        "hier-linear-seed-negative", "hier-nonlinear-seed-negative",
+        "base-seed-negative", "simulate-rounding-above-308",
+        "hier-nonlinear-rounding-above-308"])
 def test_malformed_input_exits_with_message(argv, config, code, message,
                                             alcohol_csv, alcohol_zeros_csv,
                                             fit_files, tmp_path, capsys):

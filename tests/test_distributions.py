@@ -766,6 +766,22 @@ def test_quantile_round_trip_where_the_window_sits_in_a_tail(mu):
     assert sltb_cdf(p, sltb_quantile(p, q)) == pytest.approx(q, rel=5e-14, abs=0.0)
 
 
+@pytest.mark.parametrize("mu", [1e-3, 1e-4])
+def test_cdf_and_quantile_where_only_the_complements_resolve_the_normalizer(mu):
+    # at (1.08, 0.04) and phi 1e3, Z is 1.9e-18 (mu 1e-3) or 7.0e-21
+    # (mu 1e-4): 1 minus the excluded tails rounds to 0, so the density's
+    # ln Z is -inf, but the complement of the lower tail less the upper one
+    # keeps Z, and the law functions must answer from it. The cdf's floor
+    # is betaincc's rounding, a few eps of a value near Z, over Z
+    p = SltbParams(mu, 1e3, 1.08, 0.04)
+    assert dist.sltb_log_normalizer_arrays(p.mu, p.phi, p.s, p.l) == -np.inf
+    for g in (1e-9, 1e-5, 1e-3, 3e-3, 0.01, 0.5):
+        assert sltb_cdf(p, g) == pytest.approx(float(mp_cdf(p, g)), rel=0.0,
+                                               abs=1e-14), g
+    q = np.array([1e-3, 0.1, 0.5, 0.9, 0.999])
+    assert sltb_cdf(p, sltb_quantile(p, q)) == pytest.approx(q, rel=0.0, abs=1e-14)
+
+
 def test_cdf_and_quantile_refuse_a_window_without_mass():
     # shapes of 5e-31 put the beta mass within an ulp of 0 and 1, so the
     # log-normalizer is -inf; the median of this symmetric law is 0.5,

@@ -261,6 +261,12 @@ def test_rng_derived_streams_differ():
     assert not np.allclose(s0, s1)
 
 
+def test_rng_refuses_a_negative_or_non_integer_seed():
+    for seed in (-1, np.int64(-3), 1.5):
+        with pytest.raises(DomainError, match="nonnegative integer"):
+            kernel.Rng(seed)
+
+
 def test_sample_uniform_degenerate():
     rng = kernel.Rng(1)
     assert rng.uniform(0.0, 0.0) == 0.0
